@@ -3,22 +3,36 @@ optional outside-in traced run for per-layer numbers.
 
 Usage (from the repository root):
 
-    python3 perfbench/run.py --workload build-gnp --seed 1 --seconds 24 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 24 --trace 0
+    python3 perfbench/run.py --workload build-gnp --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 20 --trace 0
 
 One run: write the workload's inputs from --seed (not timed), measure
 ``setup_s`` as the median import time of ``spanforge.cli`` over several
 fresh interpreters, run the closed loop (loop.py) in one more fresh
 interpreter with SPANFORGE_THREADS unset, then check every job's outputs
-and print the metrics.  The last line of standard output is one JSON
-object: {"correct", "attempted", "failed", "metrics"}.  --trace 0 reports
-the end-to-end metrics, --trace 1 the per-layer metrics of layers.py.
+and print the metrics.
+
+Times are in reference seconds, because the shared host's speed drifts
+by up to 2x within a run.  Each job is scaled by the time of
+calibrate.py's fixed reference kernel, run between jobs, averaged over
+the job's neighbourhood.  Import speed drifts apart from the speed of Python code, so each
+import of spanforge.cli is scaled instead by the import time of numpy,
+its one heavy dependency, in fresh interpreters just before and just
+after it.  On a machine that runs the kernel in
+``calibrate.REFERENCE_S`` and imports numpy in ``NUMPY_IMPORT_S`` the
+scaled times are wall times.  The raw wall times, kernel times and
+numpy import times are kept in the per-run results.
+
+The last line of standard output is one JSON object: {"correct",
+"attempted", "failed", "metrics"}.  --trace 0 reports the end-to-end
+metrics, --trace 1 the per-layer metrics of layers.py.
 
 End-to-end metrics of an untraced run:
-  setup_s                 median import time of spanforge.cli
-  job_s_p50               median job wall time (sample count in the table;
-                          a run holds too few jobs for a tail percentile)
-  edges_per_s             sum of input edges / sum of job wall times
+  setup_s                 median scaled import time of spanforge.cli
+  job_s_p50               median scaled job wall time (sample count in the
+                          table; a run holds too few jobs for a tail
+                          percentile)
+  edges_per_s             sum of input edges / sum of scaled job times
   peak_rss_mb             peak resident memory of the loop process
   ok_frac                 share of jobs that exited 0 and passed every check
   kept_frac               spanner edges / input edges, mean over jobs
@@ -51,6 +65,7 @@ import time
 from importlib import metadata
 from pathlib import Path
 
+import calibrate
 import checks
 from layers import PER_LAYER, edge_visits, layer_metrics
 from tracer import Span
@@ -59,7 +74,10 @@ from workloads import GNM_M, GNM_N, WORKLOADS, Workload, job_seed, write_gnm
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT = ROOT / ".perfbench-out"
-SETUP_REPS = 5
+SETUP_REPS = 7
+# numpy's import time on the reference machine (2 shared vCPUs, Python
+# 3.11.7); spanforge.cli took about 1.4 times as long there.
+NUMPY_IMPORT_S = 0.15
 LOOP_TIMEOUT_S = 150
 
 END_TO_END = [
@@ -73,10 +91,7 @@ END_TO_END = [
     ("stretch_mean_ratio", "ratio", "lower"),
 ]
 
-IMPORT_PROBE = (
-    "import time; t = time.perf_counter(); import spanforge.cli; "
-    "print(time.perf_counter() - t)"
-)
+IMPORT_PROBE = "import time; t = time.perf_counter(); import {}; print(time.perf_counter() - t)"
 
 
 def child_env() -> dict[str, str]:
@@ -85,17 +100,27 @@ def child_env() -> dict[str, str]:
     return env
 
 
-def measure_setup() -> list[float]:
-    """Import time of spanforge.cli in fresh interpreters; the first,
-    which may compile bytecode, is discarded."""
-    times = []
-    for _ in range(SETUP_REPS + 1):
-        done = subprocess.run(
-            [sys.executable, "-c", IMPORT_PROBE], env=child_env(), cwd=ROOT,
-            capture_output=True, text=True, timeout=60, check=True,
-        )
-        times.append(float(done.stdout.strip()))
-    return times[1:]
+def import_s(module: str) -> float:
+    """Import time of module in a fresh interpreter."""
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE.format(module)], env=child_env(), cwd=ROOT,
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return float(done.stdout.strip())
+
+
+def measure_setup() -> tuple[list[float], list[float], list[float]]:
+    """Import times of spanforge.cli in fresh interpreters, raw and scaled
+    by numpy's import time around each, and the numpy times.  The first
+    import, which may compile bytecode, is discarded."""
+    raw, scaled, numpy = [], [], [import_s("numpy")]
+    for rep in range(SETUP_REPS + 1):
+        cli = import_s("spanforge.cli")
+        numpy.append(import_s("numpy"))
+        if rep:
+            raw.append(cli)
+            scaled.append(cli * NUMPY_IMPORT_S / ((numpy[-2] + numpy[-1]) / 2))
+    return raw, scaled, numpy
 
 
 def environment() -> dict:
@@ -214,6 +239,12 @@ def run_loop(workload: Workload, seed: int, seconds: float, trace: bool,
     return json.loads((run_dir / "loop.json").read_text())
 
 
+def job_times(jobs: list[dict]) -> list[float]:
+    """Untraced jobs' wall times in reference seconds."""
+    kernels = [jobs[0]["kernel_s"][0]] + [j["kernel_s"][1] for j in jobs]
+    return calibrate.scaled([j["wall_s"] for j in jobs], kernels)
+
+
 def end_to_end(workload: Workload, jobs: list[dict], records: list[dict],
                setup: list[float], rss: float) -> dict:
     # Output quality depends on the seed and not on how many jobs fitted in.
@@ -223,7 +254,7 @@ def end_to_end(workload: Workload, jobs: list[dict], records: list[dict],
         values = [r[key] for r in first if r["ok"]]
         return agg(values) if values else 0.0
 
-    walls = [j["wall_s"] for j in jobs]
+    walls = job_times(jobs)
     return {
         "setup_s": statistics.median(setup),
         "job_s_p50": statistics.median(walls),
@@ -253,13 +284,13 @@ def run_one(name: str, seed: int, seconds: float, trace: bool) -> tuple[dict, li
     run_dir = OUT / f"{name}-s{seed}-t{int(trace)}-{os.getpid()}"
     shutil.rmtree(run_dir, ignore_errors=True)
     run_dir.mkdir(parents=True)
+    setup_raw, setup, numpy_import = ([], [], []) if trace else measure_setup()
     input_path, written, digests = None, None, {}
     if workload.gen is None:
         input_path = run_dir / "input.txt"
         written, digests[input_path.name] = write_gnm(
             input_path, GNM_N, GNM_M, job_seed(name + "/input", seed, 0)
         )
-    setup = [] if trace else measure_setup()
     loop = run_loop(workload, seed, seconds, trace, run_dir, input_path)
 
     schema = checks.schema_validator(ROOT)
@@ -275,7 +306,7 @@ def run_one(name: str, seed: int, seconds: float, trace: bool) -> tuple[dict, li
             except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
                 problems = [f"unreadable output: {exc!r}"]
         record.update(ok=not problems, problems=problems, seed=job["seed"],
-                      traced=job["traced"], wall_s=job["wall_s"])
+                      traced=job["traced"], wall_s=job["wall_s"], kernel_s=job.get("kernel_s"))
         records.append(record)
     checked = time.perf_counter() - checked
     if trace:
@@ -294,7 +325,9 @@ def run_one(name: str, seed: int, seconds: float, trace: bool) -> tuple[dict, li
     missing = loop.get("trace", {}).get("missing", [])
     (results_dir / f"{stem}.json").write_text(json.dumps({
         "workload": name, "seed": seed, "seconds": seconds, "env": env,
-        "inputs_sha256": digests, "setup_s_samples": setup, "loop_s": loop["loop_s"],
+        "inputs_sha256": digests, "setup_s_samples": setup, "setup_wall_s": setup_raw,
+        "numpy_import_s": numpy_import,
+        "loop_s": loop["loop_s"],
         "check_s": checked, "missing_wrap_points": missing, "jobs": records, "metrics": metrics,
     }, indent=1))
     shutil.rmtree(run_dir, ignore_errors=True)

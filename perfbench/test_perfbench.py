@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
+import calibrate
 import checks
 from layers import PER_LAYER, edge_visits, layer_metrics
-from run import END_TO_END
+from run import END_TO_END, job_times
 from tracer import Span, Tracer, WrapPoint, self_times
 from workloads import WORKLOADS, gnm_edges, write_gnm
 
@@ -97,6 +98,23 @@ def test_tracer_nests_restores_and_reports_missing(monkeypatch):
     assert (outer.name, outer.parent, outer.job) == ("cli.main", None, 7)
     assert (inner.name, inner.parent, inner.attrs) == ("graph.load", 0, {"edges": 4})
     assert outer.start <= inner.start <= inner.end <= outer.end
+
+
+def test_scaled_times_cancel_machine_speed():
+    ref = calibrate.REFERENCE_S
+    # The same job on a machine at full speed and at half speed.
+    fast = [{"wall_s": 2.0, "kernel_s": [ref, ref]}] * 3
+    slow = [{"wall_s": 4.0, "kernel_s": [2 * ref, 2 * ref]}] * 3
+    assert job_times(fast) == job_times(slow) == pytest.approx([2.0] * 3)
+    # One slow kernel reading is averaged with those up to two jobs away:
+    # job i sees kernels[i - 2 : i + 4], four to six readings.
+    assert calibrate.WINDOW == 2
+    kernels = [ref, ref, ref, 7 * ref, ref, ref, ref]
+    assert calibrate.scaled([2.0] * 6, kernels) == pytest.approx(
+        [2.0 / 2.5, 2.0 / 2.2, 1.0, 1.0, 2.0 / 2.2, 2.0 / 2.5]
+    )
+    with calibrate.gauge() as kernel_s:
+        assert kernel_s() > 0
 
 
 def test_connectivity_rejects_missing_bridge():

@@ -28,7 +28,7 @@ class Workload:
     t: int
     gen: str | None  # generator spec the program expands, or None for the written input
     # An untraced run starts at least this many jobs, fewer than fit in a
-    # 24 s run here; the output-quality metrics are taken over exactly
+    # 20 s run here; the output-quality metrics are taken over exactly
     # these, so they depend on the seed alone and average out per-seed
     # variation.
     quality_jobs: int
