@@ -37,6 +37,7 @@ from .spanner import (
     epoch_count,
     epoch_schedule,
     general_spanner,
+    stretch_bound,
     stretch_exponent,
     two_phase_spanner,
 )
@@ -50,7 +51,6 @@ from .oracles import (
     dijkstra,
     parallel_repetition,
     size_study,
-    worker_count,
 )
 from .apsp import (
     ApspReport,

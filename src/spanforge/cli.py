@@ -15,10 +15,10 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .apsp import apsp_experiment
+from .apsp import ApspBoundError, apsp_experiment
 from .graph import DomainError, EdgeListError, load_edge_list, parse_generator_spec, write_edge_list
 from .oracles import ALGORITHMS, Params, audit_stretch, size_study
-from .spanner import SpannerBuild, epoch_count, stretch_exponent
+from .spanner import SpannerBuild, epoch_count, stretch_bound
 
 
 @dataclass(frozen=True)
@@ -90,25 +90,10 @@ def build_report(source: str, algo: str, build: SpannerBuild, gamma: float) -> d
     return report
 
 
-def _default_bound(algo: str, build: SpannerBuild) -> float:
-    if algo == "bs":
-        return 2 * build.k - 1
-    if algo == "twophase":
-        t = build.t
-        return 2 * t + (2 * t + 1) * (2 * t - 1) + 2 * t
-    return 2 * build.k ** stretch_exponent(build.t)
-
-
 def cmd_build(args) -> int:
     if args.t is not None and args.algo != "general":
         print("--t is only valid with --algo general", file=sys.stderr)
         return 2
-    if args.audit is not None and args.audit != "auto":
-        try:
-            float(args.audit)
-        except ValueError:
-            print(f"--audit expects a number or 'auto', got {args.audit!r}", file=sys.stderr)
-            return 2
     t = args.t if args.t is not None else 1
     try:
         source, g = _load_graph(args)
@@ -124,7 +109,7 @@ def cmd_build(args) -> int:
     report = build_report(source, args.algo, build, args.gamma)
     status = 0
     if args.audit is not None:
-        bound = _default_bound(args.algo, build) if args.audit == "auto" else float(args.audit)
+        bound = stretch_bound(args.algo, args.k, t) if args.audit == "auto" else args.audit
         audit = audit_stretch(g, build.spanner_edges, bound)
         report["audit"] = audit.as_dict()
         status = 0 if audit.passed else 1
@@ -133,16 +118,26 @@ def cmd_build(args) -> int:
 
 
 def _parse_auto_bound(spec: str) -> float:
+    """The stretch_bound named by an --auto spec: ALGO:K, or general:K,T."""
     try:
-        kind, rest = spec.split(":", 1)
-        if kind == "bs":
-            return 2 * int(rest) - 1
-        if kind == "general":
-            k_str, t_str = rest.split(",")
-            return 2 * int(k_str) ** stretch_exponent(int(t_str))
+        algo, rest = spec.split(":", 1)
+        numbers = [int(x) for x in rest.split(",")]
+        if len(numbers) == (2 if algo == "general" else 1):
+            return stretch_bound(algo, *numbers)
     except (ValueError, DomainError):
         pass
-    raise DomainError(f"bad --auto spec {spec!r} (use bs:K or general:K,T)")
+    raise DomainError(f"bad --auto spec {spec!r} (use bs:K, merge:K, twophase:K or general:K,T)")
+
+
+def _finite_bound(text: str) -> float:
+    """argparse type of a stretch bound: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def cmd_audit(args) -> int:
@@ -246,7 +241,7 @@ def cmd_study(args) -> int:
             summary = {"type": "study"}
             summary.update(stats.as_dict())
             fieldnames = ["trial", "seed", "size"] + [f"epoch{e + 1}_clusters" for e in range(depth)]
-    except (DomainError, AssertionError) as exc:
+    except (DomainError, ApspBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -274,15 +269,20 @@ def make_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--gamma", type=float, default=1.0)
     p_build.add_argument("--out", help="report JSON path (default stdout)")
     p_build.add_argument("--spanner-out", help="write the spanner as an edge-list file")
-    p_build.add_argument("--audit", metavar="BOUND|auto", help="inline stretch audit of the result")
+    p_build.add_argument(
+        "--audit",
+        metavar="BOUND|auto",
+        type=lambda text: text if text == "auto" else _finite_bound(text),
+        help="inline stretch audit of the result",
+    )
     p_build.set_defaults(func=cmd_build)
 
     p_audit = sub.add_parser("audit", help="audit a spanner file against a stretch bound")
     p_audit.add_argument("--input", required=True)
     p_audit.add_argument("--spanner", required=True)
     bound = p_audit.add_mutually_exclusive_group(required=True)
-    bound.add_argument("--bound", type=float)
-    bound.add_argument("--auto", help="bs:K or general:K,T")
+    bound.add_argument("--bound", type=_finite_bound)
+    bound.add_argument("--auto", help="bs:K, merge:K, twophase:K or general:K,T")
     p_audit.add_argument("--out", help="report JSON path (default stdout)")
     p_audit.add_argument("--csv", help="per-edge ratio CSV path")
     p_audit.set_defaults(func=cmd_audit)

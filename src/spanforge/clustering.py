@@ -14,10 +14,9 @@ makes tree detours affordable in weighted graphs.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import Iterable
 
 from .graph import DomainError, WeightedGraph
 
@@ -76,22 +75,6 @@ class Clustering:
             assert node == self.center_of[cid], f"walk from {v} missed center"
             assert steps == self.depth_of[v], f"depth mismatch at {v}"
         assert counted == sum(len(self.members(c)) for c in self.clusters())
-
-    def to_json_dict(self) -> dict:
-        """Debug snapshot: cluster id -> member list plus tree edges.
-
-        The format is documented but not stability-guaranteed.
-        """
-        out: dict = {"clusters": {}}
-        for cid in self.clusters():
-            members = self.members(cid)
-            tree = [
-                {"node": v, "parent": self.parent[v][0], "edge": self.parent[v][1]}
-                for v in members
-                if self.parent[v] is not None
-            ]
-            out["clusters"][str(cid)] = {"center": self.center_of[cid], "members": members, "tree": tree}
-        return out
 
 
 @dataclass(frozen=True)
@@ -477,10 +460,3 @@ def check_radius(
         edge_max_path_weight=edge_max,
         violation=violation,
     )
-
-
-def clustering_to_json(clustering: Clustering, sink: IO[str] | None = None) -> str:
-    text = json.dumps(clustering.to_json_dict(), sort_keys=True)
-    if sink is not None:
-        sink.write(text)
-    return text

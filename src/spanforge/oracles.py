@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -33,23 +31,11 @@ from .spanner import (
     baswana_sen,
     cluster_merge_spanner,
     general_spanner,
-    stretch_exponent,
+    stretch_bound,
     two_phase_spanner,
 )
 
 INF = math.inf
-
-
-def worker_count() -> int:
-    """Worker cap from SPANFORGE_THREADS (0 = one per CPU, default 1)."""
-    raw = os.environ.get("SPANFORGE_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    if value == 0:
-        return os.cpu_count() or 1
-    return max(1, value)
 
 
 def _subgraph_adj(g: WeightedGraph, edge_ids: Iterable[int] | None) -> list[list[tuple[int, float]]]:
@@ -154,9 +140,10 @@ def audit_stretch(g: WeightedGraph, spanner_edges: Iterable[int], bound: float) 
     """Check d_spanner(u, v) <= bound * w for every original edge (u, v, w).
 
     Distances are measured by Dijkstra on the spanner subgraph, one run
-    per distinct source endpoint of a non-spanner edge.  Unreachable
-    endpoints fail with an infinite ratio (a spanner must preserve
-    connectivity).
+    per distinct source endpoint of a non-spanner edge; each run's ratios
+    are taken before the next run starts, so one distance list is held at
+    a time.  Unreachable endpoints fail with an infinite ratio (a spanner
+    must preserve connectivity).
     """
     spanner = set(spanner_edges)
     for eid in spanner:
@@ -171,21 +158,9 @@ def audit_stretch(g: WeightedGraph, spanner_edges: Iterable[int], bound: float) 
             by_source.setdefault(u, []).append(eid)
 
     adj = _subgraph_adj(g, spanner)
-    sources = sorted(by_source)
-
-    def distances(src: int) -> tuple[int, list[float]]:
-        return src, _dijkstra_on(adj, src)
-
-    workers = worker_count()
-    if workers > 1 and len(sources) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            dist_by_source = dict(pool.map(distances, sources))
-    else:
-        dist_by_source = dict(map(distances, sources))
-
-    for src in sources:
-        dist = dist_by_source[src]
-        for eid in by_source[src]:
+    for src, eids in by_source.items():
+        dist = _dijkstra_on(adj, src)
+        for eid in eids:
             _, v, w = g.edges[eid]
             d = dist[v]
             if w > 0:
@@ -416,29 +391,23 @@ def bruteforce_equivalence_suite(max_n: int, random_graphs: int = 100, seed: int
         p = rng.choice([0.3, 0.5, 0.8])
         graphs.append((f"gnp-{idx}", gen_gnp(n, p, "unit", seed=rng.getrandbits(32))))
 
-    def hop_bound(k: int) -> float:
-        t = math.isqrt(k)
-        if t * t < k:
-            t += 1
-        return 2 * t + (2 * t + 1) * (2 * t - 1) + 2 * t
-
     cases = [
-        ("bs", 2, 1, lambda k, t: 2 * k - 1),
-        ("bs", 3, 1, lambda k, t: 2 * k - 1),
-        ("merge", 2, 1, lambda k, t: 2 * k ** stretch_exponent(1)),
-        ("merge", 4, 1, lambda k, t: 2 * k ** stretch_exponent(1)),
-        ("general", 4, 2, lambda k, t: 2 * k ** stretch_exponent(t)),
-        ("twophase", 4, 1, lambda k, t: hop_bound(k)),
+        ("bs", 2, 1),
+        ("bs", 3, 1),
+        ("merge", 2, 1),
+        ("merge", 4, 1),
+        ("general", 4, 2),
+        ("twophase", 4, 1),
     ]
 
     failures: list[dict] = []
     run_count = 0
     for name, g in graphs:
         base_components = component_labels(g)
-        for algo, k, t, bound_fn in cases:
+        for algo, k, t in cases:
             run_count += 1
             build = ALGORITHMS[algo](g, k, t, seed=run_count)
-            audit = audit_stretch(g, build.spanner_edges, bound_fn(k, t))
+            audit = audit_stretch(g, build.spanner_edges, stretch_bound(algo, k, t))
             if not audit.passed:
                 failures.append({"graph": name, "algo": algo, "k": k, "t": t, "why": "stretch"})
             if component_labels(g, build.spanner_edges) != base_components:

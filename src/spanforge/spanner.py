@@ -52,12 +52,10 @@ RULE_COMPLETION = "completion"     # superseded in the final completion sweep
 
 @dataclass(frozen=True)
 class Params:
-    """Run parameters: stretch k, iterations-per-epoch t, memory exponent
-    gamma (cost model only), and the rng seed."""
+    """Run parameters: stretch k, iterations-per-epoch t, and the rng seed."""
 
     k: int
     t: int = 1
-    gamma: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -65,8 +63,6 @@ class Params:
             raise DomainError(f"k must be >= 1, got {self.k}")
         if self.t < 1:
             raise DomainError(f"t must be >= 1, got {self.t}")
-        if not (0.0 < self.gamma <= 1.0):
-            raise DomainError(f"gamma must be in (0, 1], got {self.gamma}")
 
 
 def stretch_exponent(t: int) -> float:
@@ -74,6 +70,32 @@ def stretch_exponent(t: int) -> float:
     if t < 1:
         raise DomainError(f"t must be >= 1, got {t}")
     return math.log(2 * t + 1) / math.log(t + 1)
+
+
+def _ceil_sqrt(k: int) -> int:
+    r = math.isqrt(k)
+    return r if r * r == k else r + 1
+
+
+def stretch_bound(algo: str, k: int, t: int = 1) -> float:
+    """Stretch guarantee of an algorithm's build.
+
+    bs: 2k-1.  twophase: the hop bound 2r + (2r+1)(2r-1) + 2r with
+    r = ceil(sqrt(k)).  Both are ints.  general: 2*k**stretch_exponent(t);
+    merge is general with t=1.  t is read by general only.
+    """
+    if k < 1:
+        raise DomainError(f"k must be >= 1, got {k}")
+    if algo == "bs":
+        return 2 * k - 1
+    if algo == "twophase":
+        r = _ceil_sqrt(k)
+        return 2 * r + (2 * r + 1) * (2 * r - 1) + 2 * r
+    if algo == "merge":
+        t = 1
+    elif algo != "general":
+        raise DomainError(f"unknown algorithm {algo!r}")
+    return 2 * k ** stretch_exponent(t)
 
 
 def epoch_count(k: int, t: int) -> int:
@@ -548,9 +570,7 @@ def two_phase_spanner(g: WeightedGraph, k: int, seed: int) -> SpannerBuild:
     if k == 1:
         return _take_all(g, k, 1, seed)
 
-    t = math.isqrt(k)
-    if t * t < k:
-        t += 1
+    t = _ceil_sqrt(k)
     rng = random.Random(seed)
     ledger = _EdgeLedger(g)
     quotient = identity_quotient(g)

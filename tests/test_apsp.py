@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spanforge
 from spanforge import (
     DomainError,
     apsp_experiment,
@@ -103,3 +108,21 @@ def test_distance_matrix_csv_export(tmp_path):
     big = np.zeros((3, 3))
     with pytest.raises(DomainError):
         write_distance_csv(big, io.StringIO(), max_n=2)
+
+
+def test_study_apsp_bound_check_survives_python_O(tmp_path):
+    # Under -O a bare assert would vanish and the study would exit 0.
+    script = (
+        "import sys\n"
+        "import spanforge.apsp\n"
+        "from spanforge.cli import main\n"
+        "spanforge.apsp.pair_ratios = lambda exact, approx: (1e9, 1.0, 1)\n"
+        "sys.exit(main(['study', '--gen', 'gnp:30:0.2:unit', '--k', '3', '--apsp', '--trials', '1']))\n"
+    )
+    src = str(Path(spanforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "exceeds bound" in proc.stderr

@@ -107,14 +107,51 @@ def test_audit_mismatched_spanner_exits_2(tmp_path):
     assert code == 2
 
 
-def test_audit_auto_bound(tmp_path, capsys):
+AUTO_BOUNDS = {
+    "bs:5": 9,
+    "merge:4": 18.0,
+    "twophase:9": 47,
+    "general:4,1": 2 * 4 ** 1.5849625007211562,
+}
+
+
+@pytest.mark.parametrize("spec", sorted(AUTO_BOUNDS))
+def test_audit_auto_bound(tmp_path, capsys, spec):
     g = gen_gnp(30, 0.3, "unit", 2)
     graph_file = tmp_path / "g.txt"
     write_edge_list(g, graph_file)
-    code = run_cli(["audit", "--input", str(graph_file), "--spanner", str(graph_file), "--auto", "general:4,1"])
+    code = run_cli(["audit", "--input", str(graph_file), "--spanner", str(graph_file), "--auto", spec])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["bound"] == pytest.approx(2 * 4 ** 1.5849625007211562)
+    assert report["bound"] == pytest.approx(AUTO_BOUNDS[spec])
+
+
+@pytest.mark.parametrize("spec", ["foo:3", "bs:0", "general:4", "twophase:4,2"])
+def test_audit_bad_auto_spec_exits_2(tmp_path, spec):
+    g = gen_gnp(10, 0.4, "unit", 1)
+    graph_file = tmp_path / "g.txt"
+    write_edge_list(g, graph_file)
+    code = run_cli(["audit", "--input", str(graph_file), "--spanner", str(graph_file), "--auto", spec])
+    assert code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
+def test_audit_non_finite_bound_exits_2(tmp_path, value):
+    from spanforge import build_graph
+
+    graph_file, spanner_file = tmp_path / "g.txt", tmp_path / "s.txt"
+    write_edge_list(build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)]), graph_file)
+    write_edge_list(build_graph(3, [(0, 1, 1.0)]), spanner_file)  # disconnected
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["audit", "--input", str(graph_file), "--spanner", str(spanner_file), "--bound", value])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
+def test_build_audit_non_finite_bound_exits_2(value):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["build", "--gen", "gnp:20:0.2:unit", "--algo", "bs", "--k", "2", "--audit", value])
+    assert exc.value.code == 2
 
 
 def test_audit_csv_rows(tmp_path):
@@ -198,9 +235,9 @@ def test_build_inline_audit(tmp_path, schema):
     jsonschema.validate(report, schema)
     assert report["audit"]["passed"]
     assert report["audit"]["bound"] == pytest.approx(2 * 4 ** (math.log(5) / math.log(3)))
-    assert run_cli(
-        ["build", "--gen", "gnp:20:0.2:unit", "--algo", "bs", "--k", "2", "--audit", "huge"]
-    ) == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["build", "--gen", "gnp:20:0.2:unit", "--algo", "bs", "--k", "2", "--audit", "huge"])
+    assert exc.value.code == 2
 
 
 def test_spanner_out_roundtrip(tmp_path):

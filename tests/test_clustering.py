@@ -280,14 +280,3 @@ def test_check_radius_passes_with_light_tree():
     )
     cert = check_radius(g, chain, [2], 2)
     assert cert.passed
-
-
-def test_clustering_json_snapshot():
-    g = gen_star(4)
-    c = grow_clusters(
-        singleton_clustering(g), {0}, [Merge(i, 0, i - 1) for i in range(1, 4)]
-    )
-    snap = c.to_json_dict()
-    assert set(snap["clusters"]) == {"0"}
-    assert sorted(snap["clusters"]["0"]["members"]) == [0, 1, 2, 3]
-    assert len(snap["clusters"]["0"]["tree"]) == 3

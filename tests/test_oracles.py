@@ -19,7 +19,6 @@ from spanforge import (
     size_study,
     stretch_exponent,
     two_phase_spanner,
-    worker_count,
 )
 
 INF = math.inf
@@ -75,19 +74,6 @@ def test_audit_cluster_merge_gnp():
     build = cluster_merge_spanner(g, 4, 9)
     bound = 2 * 4 ** stretch_exponent(1)
     assert audit_stretch(g, build.spanner_edges, bound).passed
-
-
-def test_audit_thread_workers_match_serial(monkeypatch):
-    g = gen_gnp(80, 0.15, ("uniform", 1, 7), 2)
-    build = general_spanner(g, 3, 1, 2)
-    bound = 2 * 3 ** stretch_exponent(1)
-    serial = audit_stretch(g, build.spanner_edges, bound)
-    monkeypatch.setenv("SPANFORGE_THREADS", "4")
-    assert worker_count() == 4
-    threaded = audit_stretch(g, build.spanner_edges, bound)
-    assert threaded.ratios == serial.ratios
-    monkeypatch.setenv("SPANFORGE_THREADS", "0")
-    assert worker_count() >= 1
 
 
 def test_size_study_k1_exact():

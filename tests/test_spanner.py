@@ -15,6 +15,7 @@ from spanforge import (
     gen_path,
     gen_star,
     general_spanner,
+    stretch_bound,
     stretch_exponent,
     two_phase_spanner,
 )
@@ -36,6 +37,18 @@ def test_stretch_exponent_monotone_decreasing():
 def test_stretch_exponent_rejects_bad_t():
     with pytest.raises(DomainError):
         stretch_exponent(0)
+
+
+def test_stretch_bound_table():
+    assert stretch_bound("bs", 5) == 9 and isinstance(stretch_bound("bs", 5), int)
+    assert stretch_bound("twophase", 4) == 23  # r = 2: 4 + 5*3 + 4
+    assert stretch_bound("twophase", 9) == 47  # r = 3: 6 + 7*5 + 6
+    assert stretch_bound("merge", 4) == pytest.approx(18)  # 2 * 4**log2(3)
+    assert stretch_bound("general", 8, 2) == pytest.approx(2 * 8 ** (math.log(5) / math.log(3)))
+    with pytest.raises(DomainError):
+        stretch_bound("foo", 4)
+    with pytest.raises(DomainError):
+        stretch_bound("bs", 0)
 
 
 def test_epoch_schedule_k16_t1():
@@ -216,8 +229,6 @@ def test_params_validation():
         Params(k=0)
     with pytest.raises(DomainError):
         Params(k=2, t=0)
-    with pytest.raises(DomainError):
-        Params(k=2, gamma=0.0)
     with pytest.raises(DomainError):
         general_spanner(gen_path(4), 0, 1, 0)
 
