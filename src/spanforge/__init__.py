@@ -18,7 +18,6 @@ from .graph import (
 )
 from .clustering import (
     Clustering,
-    Merge,
     QuotientGraph,
     RadiusCertificate,
     check_radius,

@@ -90,9 +90,21 @@ def build_report(source: str, algo: str, build: SpannerBuild, gamma: float) -> d
     return report
 
 
+def _general_only_error(args) -> str | None:
+    """Usage check shared by build and study: only --algo general reads
+    --t, and only it runs study's --apsp."""
+    if args.algo != "general":
+        if args.t is not None:
+            return "--t is only valid with --algo general"
+        if getattr(args, "apsp", False):
+            return "--apsp is only valid with --algo general"
+    return None
+
+
 def cmd_build(args) -> int:
-    if args.t is not None and args.algo != "general":
-        print("--t is only valid with --algo general", file=sys.stderr)
+    error = _general_only_error(args)
+    if error:
+        print(error, file=sys.stderr)
         return 2
     t = args.t if args.t is not None else 1
     try:
@@ -190,6 +202,11 @@ def cmd_cost(args) -> int:
 
 
 def cmd_study(args) -> int:
+    error = _general_only_error(args)
+    if error:
+        print(error, file=sys.stderr)
+        return 2
+    t = args.t if args.t is not None else 1
     try:
         _, make = parse_generator_spec(args.gen)
     except DomainError as exc:
@@ -204,7 +221,7 @@ def cmd_study(args) -> int:
             reports = []
             for trial in range(args.trials):
                 g = make(args.seed0 + trial)
-                rep = apsp_experiment(g, args.k, args.t, args.seed0 + trial)
+                rep = apsp_experiment(g, args.k, t, args.seed0 + trial)
                 reports.append(rep)
             rows = [
                 {
@@ -220,7 +237,7 @@ def cmd_study(args) -> int:
             summary = {
                 "type": "apsp_study",
                 "generator": args.gen,
-                "params": {"k": args.k, "t": args.t},
+                "params": {"k": args.k, "t": t},
                 "trials": args.trials,
                 "mean_size": sum(r.spanner_size for r in reports) / len(reports),
                 "max_ratio": max(r.max_ratio for r in reports),
@@ -229,7 +246,7 @@ def cmd_study(args) -> int:
             fieldnames = ["trial", "seed", "size", "max_ratio", "mean_ratio", "pairs"]
         else:
             stats = size_study(
-                args.gen, Params(k=args.k, t=args.t), args.trials, args.seed0, args.algo
+                args.gen, Params(k=args.k, t=t), args.trials, args.seed0, args.algo
             )
             depth = max((len(tr) for tr in stats.epoch_clusters), default=0)
             rows = []
@@ -298,7 +315,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--gen", required=True)
     p_study.add_argument("--algo", default="general", choices=sorted(ALGORITHMS))
     p_study.add_argument("--k", type=int, required=True)
-    p_study.add_argument("--t", type=int, default=1)
+    p_study.add_argument("--t", type=int, default=None)
     p_study.add_argument("--trials", type=int, required=True)
     p_study.add_argument("--seed0", type=int, default=0)
     p_study.add_argument("--apsp", action="store_true", help="measure APSP ratios per trial")

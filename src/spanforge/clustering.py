@@ -82,33 +82,18 @@ class QuotientGraph:
     """Contracted view of a graph.
 
     super_of maps every original vertex to its super-node id (None once the
-    vertex has left the active part of the construction).  Each super-edge
-    keeps the minimum-weight surviving original edge between its two
-    super-nodes.
+    vertex has left the active part of the construction).  The surviving
+    edges between super-nodes are not stored here; contract reports the
+    duplicates it drops, and the caller keeps the rest.
     """
 
     super_count: int
     super_of: list[int | None]
-    super_edges: list[tuple[int, int, int, float]]  # (a, b, original edge id, w)
 
 
 def identity_quotient(g: WeightedGraph) -> QuotientGraph:
     """Level-zero quotient: every vertex is its own super-node."""
-    return QuotientGraph(
-        super_count=g.n,
-        super_of=list(range(g.n)),
-        super_edges=[(u, v, eid, w) for eid, (u, v, w) in enumerate(g.edges)],
-    )
-
-
-@dataclass(frozen=True)
-class Merge:
-    """One cluster absorption: the absorbed cluster's root attaches under
-    host_node (a member of a sampled host cluster) via the given edge."""
-
-    absorbed: int
-    host_node: int
-    edge: int
+    return QuotientGraph(super_count=g.n, super_of=list(range(g.n)))
 
 
 @dataclass
@@ -151,88 +136,40 @@ def sample_clusters(clustering: Clustering, p: float, rng: random.Random) -> set
 
 
 def grow_clusters(
-    clustering: Clustering, sampled: set[int], merges: Iterable[Merge]
+    clustering: Clustering, sampled: set[int], attach: dict[int, tuple[int, int]]
 ) -> Clustering:
-    """Extend sampled clusters by hanging absorbed clusters below them.
+    """Extend sampled clusters by single nodes in one pass.
 
-    Each merge attaches the absorbed cluster's whole tree, by its root,
-    under ``host_node``.  Clusters that are neither sampled nor absorbed
-    become inactive: their nodes leave the clustering.  Depths are
-    recomputed for the new trees.
+    ``attach`` maps each joining node to ``(host_node, edge)``, where the
+    host lies in a sampled cluster.  Nodes of sampled clusters keep their
+    cluster, parent and depth; an attaching node takes its host's cluster,
+    hangs below the host via the edge and sits one level deeper.  Every
+    other node leaves the clustering.  Raises ValueError for a sampled
+    cluster that does not exist, an attaching node that is inactive or in
+    a sampled cluster, or a host outside the sampled clusters.
     """
-    absorbed_seen: set[int] = set()
-    merges = list(merges)
-    for mg in merges:
-        if mg.absorbed in absorbed_seen:
-            raise ValueError(f"cluster {mg.absorbed} absorbed twice")
-        absorbed_seen.add(mg.absorbed)
-        if mg.absorbed not in clustering.center_of:
-            raise ValueError(f"absorbed cluster {mg.absorbed} does not exist")
-        if mg.absorbed in sampled:
-            raise ValueError(f"absorbed cluster {mg.absorbed} is itself sampled")
-        host_cid = clustering.cluster_of[mg.host_node]
-        if host_cid is None or host_cid not in sampled:
-            raise ValueError(f"attach point {mg.host_node} is not in a sampled cluster")
     for cid in sampled:
         if cid not in clustering.center_of:
             raise ValueError(f"sampled cluster {cid} does not exist")
-
     n = clustering.node_count
-    new_cluster: list[int | None] = [None] * n
-    new_parent: list[tuple[int, int] | None] = [None] * n
-    new_depth: list[int | None] = [None] * n
-
-    # Surviving membership: sampled clusters keep their trees; absorbed
-    # clusters keep internal structure but re-hang below their host.
-    host_of: dict[int, Merge] = {mg.absorbed: mg for mg in merges}
-    target_cid: dict[int, int] = {}
-    for cid in clustering.clusters():
-        if cid in sampled:
-            target_cid[cid] = cid
-    # Resolve absorbed clusters to the sampled cluster they end up in.
-    # Hosts are sampled by precondition, so one hop suffices.
-    for mg in merges:
-        host_cluster = clustering.cluster_of[mg.host_node]
-        assert host_cluster in sampled
-        target_cid[mg.absorbed] = host_cluster
-
-    children: dict[int, list[int]] = {}
+    cluster_of: list[int | None] = [None] * n
+    parent: list[tuple[int, int] | None] = [None] * n
+    depth_of: list[int | None] = [None] * n
     for v in range(n):
+        if clustering.cluster_of[v] in sampled:
+            cluster_of[v] = clustering.cluster_of[v]
+            parent[v] = clustering.parent[v]
+            depth_of[v] = clustering.depth_of[v]
+    for v, (host, eid) in attach.items():
         cid = clustering.cluster_of[v]
-        if cid is None or cid not in target_cid:
-            continue
-        new_cluster[v] = target_cid[cid]
-        pe = clustering.parent[v]
-        if pe is not None:
-            new_parent[v] = pe
-        elif cid in host_of:
-            mg = host_of[cid]
-            new_parent[v] = (mg.host_node, mg.edge)
-        children.setdefault(v, [])
-    for v in range(n):
-        pe = new_parent[v]
-        if pe is not None:
-            children[pe[0]].append(v)
-
-    center_of = {cid: cid for cid in sorted(sampled)}
-    for cid in center_of:
-        stack = [(cid, 0)]
-        while stack:
-            node, d = stack.pop()
-            new_depth[node] = d
-            for ch in children.get(node, ()):
-                stack.append((ch, d + 1))
-    for v in range(n):
-        if new_cluster[v] is not None and new_depth[v] is None:
-            raise ValueError(f"node {v} not reachable from its cluster root")
-
-    return Clustering(
-        node_count=n,
-        cluster_of=new_cluster,
-        center_of=center_of,
-        parent=new_parent,
-        depth_of=new_depth,
-    )
+        if cid is None or cid in sampled:
+            raise ValueError(f"node {v} cannot attach: it is inactive or in a sampled cluster")
+        if clustering.cluster_of[host] not in sampled:
+            raise ValueError(f"attach point {host} is not in a sampled cluster")
+        cluster_of[v] = cluster_of[host]
+        parent[v] = (host, eid)
+        depth_of[v] = depth_of[host] + 1
+    return Clustering(n, cluster_of, {cid: cid for cid in sorted(sampled)}, parent, depth_of)
 
 
 def contract(
@@ -246,8 +183,9 @@ def contract(
     ``surviving_edges`` are original edge ids whose endpoints must lie in
     distinct clusters of ``clustering`` (an edge inside a cluster is a
     contract violation).  Per unordered super-node pair exactly the
-    minimum-weight edge is kept, ties broken by smaller edge id; the
-    dropped duplicates are returned so the caller can mark them discarded.
+    minimum-weight edge is kept, ties broken by smaller edge id.  Returns
+    the quotient and the sorted dropped duplicates, so the caller can mark
+    them discarded; the kept edges are the surviving ones not dropped.
     """
     prev = identity_quotient(g) if isinstance(base, WeightedGraph) else base
     cids = clustering.clusters()
@@ -278,11 +216,8 @@ def contract(
         else:
             dropped.append(eid)
 
-    super_edges = [
-        (a, b, eid, w) for (a, b), (w, eid) in sorted(best.items(), key=lambda kv: kv[0])
-    ]
     dropped.sort()
-    return QuotientGraph(len(cids), super_of, super_edges), dropped
+    return QuotientGraph(len(cids), super_of), dropped
 
 
 def compose(

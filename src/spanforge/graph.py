@@ -23,6 +23,12 @@ from pathlib import Path
 from typing import IO, Iterable
 
 
+# Largest vertex count taken from outside input: an edge-list header or a
+# generator spec.  Every vertex costs an adjacency list up front, so a
+# one-line header could otherwise ask for gigabytes.
+MAX_VERTICES = 1_000_000
+
+
 class EdgeListError(ValueError):
     """Malformed edge-list input; carries the 1-based line number."""
 
@@ -179,8 +185,10 @@ def load_edge_list(source: str | Path | IO[str]) -> WeightedGraph:
         triples.append((u, v, w))
 
     if header_n is not None:
-        if header_n < 1:
-            raise EdgeListError(f"header vertex count {header_n} must be >= 1", line=1)
+        if not 1 <= header_n <= MAX_VERTICES:
+            raise EdgeListError(
+                f"header vertex count {header_n} outside [1, {MAX_VERTICES}]", line=1
+            )
         for u, v, _ in triples:
             if not (0 <= u < header_n and 0 <= v < header_n):
                 raise EdgeListError(
@@ -295,6 +303,7 @@ def parse_generator_spec(spec: str):
         path:<n>
     """
     parts = spec.split(":")
+    make = None
     try:
         kind = parts[0]
         if kind == "gnp":
@@ -308,17 +317,23 @@ def parse_generator_spec(spec: str):
                 weights = ("uniform", float(lo), float(hi))
             else:
                 raise ValueError
-            return spec, lambda seed: gen_gnp(n, p, weights, seed)
-        if kind == "grid":
+            vertices, make = n, lambda seed: gen_gnp(n, p, weights, seed)
+        elif kind == "grid":
             if len(parts) != 3:
                 raise ValueError
             w, h = int(parts[1]), int(parts[2])
-            return spec, lambda seed: gen_grid(w, h, "unit", seed)
-        if kind == "path":
+            vertices, make = w * h, lambda seed: gen_grid(w, h, "unit", seed)
+        elif kind == "path":
             if len(parts) != 2:
                 raise ValueError
             n = int(parts[1])
-            return spec, lambda seed: gen_path(n, "unit", seed)
+            vertices, make = n, lambda seed: gen_path(n, "unit", seed)
     except (ValueError, IndexError):
-        pass
-    raise DomainError(f"bad generator spec {spec!r}")
+        make = None
+    if make is None:
+        raise DomainError(f"bad generator spec {spec!r}")
+    if vertices > MAX_VERTICES:
+        raise DomainError(
+            f"generator spec {spec!r} asks for {vertices} vertices, over the limit {MAX_VERTICES}"
+        )
+    return spec, make

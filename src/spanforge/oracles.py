@@ -235,7 +235,9 @@ def size_study(
 
     Trial i regenerates the graph and reruns the algorithm with seed
     seed0 + i.  Reported references are n**(1+1/k)*(t+log2 k) for the
-    size and n**(1-((t+1)**i-1)/k) for the post-epoch-i cluster count.
+    size and n**(1-((t+1)**i-1)/k) for the post-epoch-i cluster count,
+    where t is the one the builds ran with (build.t: params.t for
+    general, k for bs, 1 for merge, ceil(sqrt k) for twophase).
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
@@ -260,7 +262,7 @@ def size_study(
         vals = [tr[i] for tr in trajectories if len(tr) > i]
         means.append(sum(vals) / len(vals))
 
-    k, t = params.k, params.t
+    k, t = params.k, build.t
     size_ref = n ** (1 + 1 / k) * (t + math.log2(k))
     cluster_refs = [n ** (1 - ((t + 1) ** (i + 1) - 1) / k) for i in range(depth)]
     return SizeStats(

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 
 from .clustering import (
     Clustering,
-    Merge,
-    QuotientGraph,
     RadiusCertificate,
     check_radius,
     compose,
@@ -270,29 +268,6 @@ class _EdgeLedger:
         return self.added, len(self.discards)
 
 
-def _dissolve_unsampled(d: Clustering, sampled: set[int]) -> Clustering:
-    """Sampled clusters keep their trees; every node of an unsampled
-    cluster becomes a singleton cluster, ready to attach or settle."""
-    n = d.node_count
-    cluster_of: list[int | None] = [None] * n
-    parent: list[tuple[int, int] | None] = [None] * n
-    depth: list[int | None] = [None] * n
-    center_of: dict[int, int] = {cid: cid for cid in d.center_of if cid in sampled}
-    for v in range(n):
-        cid = d.cluster_of[v]
-        if cid is None:
-            continue
-        if cid in sampled:
-            cluster_of[v] = cid
-            parent[v] = d.parent[v]
-            depth[v] = d.depth_of[v]
-        else:
-            cluster_of[v] = v
-            depth[v] = 0
-            center_of[v] = v
-    return Clustering(n, cluster_of, center_of, parent, depth)
-
-
 def _run_iteration(
     g: WeightedGraph,
     ledger: _EdgeLedger,
@@ -312,15 +287,13 @@ def _run_iteration(
         u, v, _ = g.edges[eid]
         su, sv = super_of[u], super_of[v]
         cu, cv = d.cluster_of[su], d.cluster_of[sv]
-        assert cu is not None and cv is not None and cu != cv, "live edge inside a cluster"
+        if cu is None or cv is None or cu == cv:
+            raise RuntimeError(f"live edge {eid} lies inside a cluster or leaves the clustering")
         groups.setdefault(su, {}).setdefault(cv, []).append(eid)
         groups.setdefault(sv, {}).setdefault(cu, []).append(eid)
 
-    def best_of(eids: list[int]) -> tuple[float, int]:
-        return min((g.weight(e), e) for e in eids)
-
     keeps: set[int] = set()
-    merges: list[Merge] = []
+    attach: dict[int, tuple[int, int]] = {}
     pending: list[tuple[int, str]] = []
 
     for s in range(d.node_count):
@@ -330,35 +303,22 @@ def _run_iteration(
         nbrs = groups.get(s)
         if not nbrs:
             continue  # isolated super-node settles with nothing to record
-        sampled_nbrs = {c: best_of(eids) for c, eids in nbrs.items() if c in sampled}
-        if sampled_nbrs:
-            w0, e0 = min(sampled_nbrs.values())
-            c0 = next(c for c, be in sampled_nbrs.items() if be == (w0, e0))
-            keeps.add(e0)
+        best = {c: min((g.edges[e][2], e) for e in eids) for c, eids in nbrs.items()}
+        joins = [(be, c) for c, be in best.items() if c in sampled]
+        if joins:
+            (w0, e0), c0 = min(joins)
             x, y = g.endpoints(e0)
-            host = super_of[x] if super_of[x] != s else super_of[y]
-            assert d.cluster_of[host] == c0
-            merges.append(Merge(absorbed=s, host_node=host, edge=e0))
-            for eid in nbrs[c0]:
-                if eid != e0:
-                    pending.append((eid, RULE_JOIN))
-            for c, eids in nbrs.items():
-                if c == c0:
-                    continue
-                w1, e1 = best_of(eids)
-                if w1 < w0:  # strictly cheaper neighbor clusters also keep one edge
-                    keeps.add(e1)
-                    for eid in eids:
-                        if eid != e1:
-                            pending.append((eid, RULE_JOIN))
+            attach[s] = (super_of[x] if super_of[x] != s else super_of[y], e0)
+            # Join c0; strictly cheaper neighbor clusters also keep one edge.
+            rule = RULE_JOIN
+            kept = [c for c, (w1, _) in best.items() if c == c0 or w1 < w0]
         else:
-            for c in sorted(nbrs):
-                eids = nbrs[c]
-                _, e1 = best_of(eids)
-                keeps.add(e1)
-                for eid in eids:
-                    if eid != e1:
-                        pending.append((eid, RULE_SETTLE))
+            rule = RULE_SETTLE
+            kept = nbrs
+        for c in kept:
+            e1 = best[c][1]
+            keeps.add(e1)
+            pending.extend((eid, rule) for eid in nbrs[c] if eid != e1)
 
     for eid in sorted(keeps):
         ledger.add(eid)
@@ -366,7 +326,7 @@ def _run_iteration(
         if ledger.is_live(eid):
             ledger.discard(eid, epoch, iteration, rule)
 
-    d_next = grow_clusters(_dissolve_unsampled(d, sampled), sampled, merges)
+    d_next = grow_clusters(d, sampled, attach)
 
     survivors: list[int] = []
     for eid in live:
@@ -375,7 +335,8 @@ def _run_iteration(
         u, v, _ = g.edges[eid]
         cu = d_next.cluster_of[super_of[u]]
         cv = d_next.cluster_of[super_of[v]]
-        assert cu is not None and cv is not None, "live edge endpoint left the clustering"
+        if cu is None or cv is None:
+            raise RuntimeError(f"live edge {eid} has an endpoint that left the clustering")
         if cu == cv:
             ledger.discard(eid, epoch, iteration, RULE_INTRA)
         else:
@@ -414,7 +375,8 @@ def _completion_sweep(
             a, b, _ = g.edges[eid]
             other = b if a == v else a
             cid = final.cluster_of[other]
-            assert cid is not None, "remaining edge endpoint is unclustered"
+            if cid is None:
+                raise RuntimeError(f"remaining edge {eid} has an unclustered endpoint")
             by_cluster.setdefault(cid, []).append(eid)
         for cid in sorted(by_cluster):
             eids = by_cluster[cid]
@@ -438,7 +400,8 @@ def _finish(
     final: Clustering,
     certs: list[RadiusCertificate] | None,
 ) -> SpannerBuild:
-    assert all(s != SpannerBuild.LIVE for s in ledger.state), "unprocessed edges remain"
+    if SpannerBuild.LIVE in ledger.state:
+        raise RuntimeError("unprocessed edges remain")
     spanner = sorted(e for e in range(g.m) if ledger.state[e] == SpannerBuild.IN)
     return SpannerBuild(
         n=g.n,
@@ -519,7 +482,8 @@ def general_spanner(
                 g, ledger, quotient.super_of, d, sampled, live, i, j
             )
             iterations.append(trace)
-        assert iterations, "every scheduled epoch runs at least one iteration"
+        if not iterations:
+            raise RuntimeError(f"epoch {i} ran no iteration")
 
         composed = compose(d, inner, quotient, g)
         if certs is not None:
@@ -594,12 +558,17 @@ def two_phase_spanner(g: WeightedGraph, k: int, seed: int) -> SpannerBuild:
     if not live:
         return _finish(g, ledger, k, t, seed, epochs, (0, 0), composed, None)
 
-    assert sorted(se[2] for se in sub_quotient.super_edges) == sorted(live)
-    contracted = build_graph(
-        sub_quotient.super_count, [(a, b, 1.0) for a, b, _, _ in sub_quotient.super_edges]
-    )
-    assert contracted.m == len(sub_quotient.super_edges)
-    to_original = [se[2] for se in sub_quotient.super_edges]
+    # contract left one live edge per super-node pair; stage two numbers
+    # them in (pair, edge id) order.
+    super_of = sub_quotient.super_of
+    stage2 = []
+    for eid in live:
+        u, v, _ = g.edges[eid]
+        a, b = super_of[u], super_of[v]
+        stage2.append((min(a, b), max(a, b), eid))
+    stage2.sort()
+    contracted = build_graph(sub_quotient.super_count, [(a, b, 1.0) for a, b, _ in stage2])
+    to_original = [eid for _, _, eid in stage2]
 
     sub = baswana_sen(contracted, t, rng.getrandbits(63))
     for sub_eid in range(contracted.m):

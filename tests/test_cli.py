@@ -5,6 +5,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+import spanforge.graph
 from spanforge import gen_gnp, load_edge_list, write_edge_list
 from spanforge.cli import cost_model, main
 
@@ -213,6 +214,29 @@ def test_study_apsp_mode(tmp_path, schema):
 
 def test_study_bad_generator_exits_2():
     assert run_cli(["study", "--gen", "mesh:9", "--k", "2", "--trials", "1"]) == 2
+
+
+def test_study_t_and_apsp_are_general_only():
+    assert run_cli(["study", "--gen", "gnp:60:0.2:unit", "--algo", "bs", "--k", "3",
+                    "--t", "3", "--trials", "1"]) == 2
+    assert run_cli(["study", "--gen", "gnp:60:0.2:unit", "--algo", "merge", "--k", "3",
+                    "--apsp", "--trials", "1"]) == 2
+
+
+def test_study_reports_the_t_each_algorithm_ran_with(tmp_path):
+    json_path = tmp_path / "study.json"
+    for algo, k, t in (("bs", 3, 3), ("merge", 4, 1), ("twophase", 5, 3)):
+        assert run_cli(["study", "--gen", "gnp:40:0.2:unit", "--algo", algo, "--k", str(k),
+                        "--trials", "1", "--json", str(json_path)]) == 0
+        assert read_json(json_path)["params"] == {"k": k, "t": t}
+
+
+def test_build_rejects_header_over_vertex_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(spanforge.graph, "MAX_VERTICES", 50)
+    graph = tmp_path / "g.txt"
+    graph.write_text("# 51 0\n")
+    assert run_cli(["build", "--input", str(graph), "--algo", "bs", "--k", "2"]) == 1
+    assert run_cli(["study", "--gen", "path:51", "--k", "2", "--trials", "1"]) == 2
 
 
 def test_commands_deterministic_bytes(tmp_path):

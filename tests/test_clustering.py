@@ -5,7 +5,6 @@ import pytest
 
 from spanforge import (
     Clustering,
-    Merge,
     build_graph,
     check_radius,
     compose,
@@ -71,7 +70,7 @@ def test_sample_clusters_binomial_concentration():
 
 def test_grow_identity_when_all_sampled():
     c = singleton_clustering(gen_star(5))
-    grown = grow_clusters(c, set(c.clusters()), [])
+    grown = grow_clusters(c, set(c.clusters()), {})
     assert grown.cluster_of == c.cluster_of
     assert grown.depth_of == c.depth_of
 
@@ -79,7 +78,7 @@ def test_grow_identity_when_all_sampled():
 def test_grow_two_singletons():
     g = build_graph(2, [(0, 1, 1.0)])
     c = singleton_clustering(g)
-    grown = grow_clusters(c, {0}, [Merge(absorbed=1, host_node=0, edge=0)])
+    grown = grow_clusters(c, {0}, {1: (0, 0)})
     assert grown.clusters() == [0]
     assert grown.cluster_of == [0, 0]
     assert grown.depth_of == [0, 1]
@@ -90,18 +89,31 @@ def test_grow_two_singletons():
 def test_grow_star_five_merges():
     g = gen_star(6)
     c = singleton_clustering(g)
-    merges = [Merge(absorbed=i, host_node=0, edge=i - 1) for i in range(1, 6)]
-    grown = grow_clusters(c, {0}, merges)
+    grown = grow_clusters(c, {0}, {i: (0, i - 1) for i in range(1, 6)})
     assert grown.clusters() == [0]
     assert grown.max_depth() == 1
     assert sum(1 for p in grown.parent if p is not None) == 5
     grown.validate()
 
 
+def test_grow_attach_below_deep_host():
+    # Path 0-1-2-3: cluster {0, 1} rooted at 0 is sampled, cluster {2, 3}
+    # is not.  Node 2 hangs below the depth-1 node 1; node 3 is not
+    # attached and leaves with the rest of its cluster.
+    g = build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    c = Clustering(4, [0, 0, 2, 2], {0: 0, 2: 2}, [None, (0, 0), None, (2, 2)], [0, 1, 0, 1])
+    grown = grow_clusters(c, {0}, {2: (1, 1)})
+    assert grown.cluster_of == [0, 0, 0, None]
+    assert grown.parent == [None, (0, 0), (1, 1), None]
+    assert grown.depth_of == [0, 1, 2, None]
+    assert grown.clusters() == [0]
+    grown.validate()
+
+
 def test_grow_unsampled_unabsorbed_goes_inactive():
     g = build_graph(3, [(0, 1, 1.0)])
     c = singleton_clustering(g)
-    grown = grow_clusters(c, {0}, [Merge(absorbed=1, host_node=0, edge=0)])
+    grown = grow_clusters(c, {0}, {1: (0, 0)})
     assert grown.cluster_of[2] is None
     assert grown.active_count() == 2
 
@@ -109,14 +121,13 @@ def test_grow_unsampled_unabsorbed_goes_inactive():
 def test_grow_contract_violations():
     g = gen_star(4)
     c = singleton_clustering(g)
-    with pytest.raises(ValueError):  # absorbed twice
-        grow_clusters(
-            c, {0}, [Merge(1, 0, 0), Merge(1, 0, 0)]
-        )
     with pytest.raises(ValueError):  # host not sampled
-        grow_clusters(c, {0}, [Merge(2, 1, 1)])
-    with pytest.raises(ValueError):  # absorbed is sampled
-        grow_clusters(c, {0, 1}, [Merge(1, 0, 0)])
+        grow_clusters(c, {0}, {2: (1, 1)})
+    with pytest.raises(ValueError):  # attaching node is sampled
+        grow_clusters(c, {0, 1}, {1: (0, 0)})
+    grown = grow_clusters(c, {0}, {1: (0, 0)})
+    with pytest.raises(ValueError):  # attaching node is inactive
+        grow_clusters(grown, {0}, {2: (0, 1)})
 
 
 def test_contract_singletons_isomorphic():
@@ -124,7 +135,6 @@ def test_contract_singletons_isomorphic():
     q, dropped = contract(g, singleton_clustering(g), range(g.m), g)
     assert q.super_count == g.n
     assert dropped == []
-    assert len(q.super_edges) == g.m
     assert q.super_of == list(range(g.n))
 
 
@@ -133,7 +143,7 @@ def test_contract_triangle_to_point():
     one = Clustering(3, [0, 0, 0], {0: 0}, [None, (0, 0), (0, 2)], [0, 1, 1])
     q, dropped = contract(g, one, [], g)
     assert q.super_count == 1
-    assert q.super_edges == []
+    assert q.super_of == [0, 0, 0]
     assert dropped == []
 
 
@@ -143,8 +153,9 @@ def test_contract_four_cycle_keeps_min_crossing():
     crossing = [eid for eid, (u, v, _) in enumerate(g.edges) if two.cluster_of[u] != two.cluster_of[v]]
     expected_w = min(g.edges[e][2] for e in crossing)  # brute force over crossings
     q, dropped = contract(g, two, crossing, g)
-    assert len(q.super_edges) == 1
-    assert q.super_edges[0][3] == expected_w
+    kept = set(crossing) - set(dropped)
+    assert len(kept) == 1
+    assert g.edges[kept.pop()][2] == expected_w
     assert dropped == [max(crossing, key=lambda e: g.edges[e][2])]
 
 
@@ -156,19 +167,17 @@ def test_contract_rejects_internal_edge():
 
 
 def test_contract_minimality_bruteforce():
-    # For every super-edge, no surviving original edge between the same
-    # super-node pair is strictly lighter.
+    # Exactly one surviving edge is kept per super-node pair, and it is the
+    # minimum (w, edge id) among the surviving edges of that pair.
     g = gen_gnp(20, 0.35, ("uniform", 1, 9), seed=11)
     c = singleton_clustering(g)
     rng = random.Random(3)
     sampled = sample_clusters(c, 0.4, rng)
-    merges = []
-    used = set()
+    attach = {}
     for eid, (u, v, _) in enumerate(g.edges):
-        if u in sampled and v not in sampled and v not in used and v not in sampled:
-            merges.append(Merge(absorbed=v, host_node=u, edge=eid))
-            used.add(v)
-    grown = grow_clusters(c, sampled, merges)
+        if u in sampled and v not in sampled and v not in attach:
+            attach[v] = (u, eid)
+    grown = grow_clusters(c, sampled, attach)
     surviving = [
         eid
         for eid, (u, v, _) in enumerate(g.edges)
@@ -177,13 +186,15 @@ def test_contract_minimality_bruteforce():
         and grown.cluster_of[u] != grown.cluster_of[v]
     ]
     q, dropped = contract(g, grown, surviving, g)
-    for a, b, eid, w in q.super_edges:
-        for other in surviving:
-            u, v, ow = g.edges[other]
-            pair = tuple(sorted((q.super_of[u], q.super_of[v])))
-            if pair == (a, b):
-                assert ow >= w
-    assert set(dropped) | {se[2] for se in q.super_edges} == set(surviving)
+    by_pair: dict[tuple[int, int], list[int]] = {}
+    for eid in surviving:
+        u, v, _ = g.edges[eid]
+        by_pair.setdefault(tuple(sorted((q.super_of[u], q.super_of[v]))), []).append(eid)
+    kept = set(surviving) - set(dropped)
+    assert len(kept) == len(by_pair)
+    for eids in by_pair.values():
+        assert kept & set(eids) == {min(eids, key=lambda e: (g.edges[e][2], e))}
+    assert dropped == sorted(dropped)
 
 
 def _two_block_setup(root2=2):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spanforge.graph
 from spanforge import (
     DomainError,
     EdgeListError,
@@ -163,3 +164,15 @@ def test_load_write_load_identity(triples):
     assert second.n == first.n
     assert second.edges == first.edges
     first.validate()
+
+
+def test_vertex_cap_on_header_and_generator_specs(monkeypatch):
+    monkeypatch.setattr(spanforge.graph, "MAX_VERTICES", 100)
+    assert load_edge_list(io.StringIO("# 100 0\n")).n == 100
+    with pytest.raises(EdgeListError):
+        load_edge_list(io.StringIO("# 101 0\n"))
+    for spec in ("gnp:100:0.1:unit", "grid:10:10", "path:100"):
+        parse_generator_spec(spec)
+    for spec in ("gnp:101:0.1:unit", "grid:11:10", "path:101"):
+        with pytest.raises(DomainError, match="limit 100"):
+            parse_generator_spec(spec)

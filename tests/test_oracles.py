@@ -97,6 +97,13 @@ def test_size_study_references_and_trials():
         size_study("gnp:10:0.1:unit", Params(k=2), trials=0)
 
 
+def test_size_study_uses_the_t_the_algorithm_ran_with():
+    stats = size_study("gnp:60:0.2:unit", Params(k=3, t=1), trials=2, seed0=1, algorithm="bs")
+    assert stats.t == 3 and stats.as_dict()["params"] == {"k": 3, "t": 3}
+    assert stats.size_reference == pytest.approx(60 ** (1 + 1 / 3) * (3 + math.log2(3)))
+    assert stats.cluster_references == [pytest.approx(60 ** (1 - (4 - 1) / 3))]
+
+
 def test_parallel_repetition_single_run():
     g = gen_gnp(50, 0.1, "unit", 0)
     res = parallel_repetition(g, Params(k=3, t=1, seed=5), repetitions=1)

@@ -15,10 +15,12 @@ from spanforge import (
     gen_path,
     gen_star,
     general_spanner,
+    singleton_clustering,
     stretch_bound,
     stretch_exponent,
     two_phase_spanner,
 )
+from spanforge.spanner import _EdgeLedger, _finish
 
 LOG2_3 = math.log2(3)
 
@@ -242,3 +244,10 @@ def test_build_json_shape():
     assert d["size"] == len(d["spanner_edges"])
     assert d["dispositions"]["unprocessed"] == 0
     assert {"added", "discarded"} <= set(d["phase2"])
+
+
+def test_finish_rejects_unprocessed_edges():
+    # A real exception, so the check survives python -O.
+    g = gen_path(4)
+    with pytest.raises(RuntimeError, match="unprocessed"):
+        _finish(g, _EdgeLedger(g), 2, 1, 0, [], (0, 0), singleton_clustering(g), None)
