@@ -76,13 +76,6 @@ def _dump(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_graph(args) -> tuple[str, "WeightedGraph"]:
-    if args.input:
-        return args.input, load_edge_list(args.input)
-    desc, make = parse_generator_spec(args.gen)
-    return desc, make(args.seed if hasattr(args, "seed") else 0)
-
-
 def build_report(source: str, algo: str, build: SpannerBuild, gamma: float) -> dict:
     report = {"type": "build", "algorithm": algo, "source": source}
     report.update(build.as_dict())
@@ -107,8 +100,17 @@ def cmd_build(args) -> int:
         print(error, file=sys.stderr)
         return 2
     t = args.t if args.t is not None else 1
+    if args.gen is not None:
+        try:
+            source, make = parse_generator_spec(args.gen)
+        except DomainError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     try:
-        source, g = _load_graph(args)
+        if args.gen is None:
+            source, g = args.input, load_edge_list(args.input)
+        else:
+            g = make(args.seed)
         build = ALGORITHMS[args.algo](g, args.k, t, args.seed)
     except (DomainError, EdgeListError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,8 +24,9 @@ from typing import IO, Iterable
 
 
 # Largest vertex count taken from outside input: an edge-list header or a
-# generator spec.  Every vertex costs an adjacency list up front, so a
-# one-line header could otherwise ask for gigabytes.
+# generator spec.  Every build allocates per-vertex lists up front (the
+# quotient map, clusterings, component labels), so a one-line header could
+# otherwise ask for gigabytes.
 MAX_VERTICES = 1_000_000
 
 
@@ -48,12 +49,10 @@ class WeightedGraph:
     """Immutable undirected graph with nonnegative edge weights.
 
     edges: list of (u, v, w) with u < v, no self-loops, no parallel edges.
-    adj:   per-vertex list of incident edge ids.
     """
 
     n: int
     edges: list[tuple[int, int, float]]
-    adj: list[list[int]]
 
     @property
     def m(self) -> int:
@@ -67,22 +66,18 @@ class WeightedGraph:
         return u, v
 
     def validate(self) -> None:
-        """Check all structural invariants; raises AssertionError on breakage."""
-        assert self.n >= 1
+        """Check all structural invariants; raises ValueError on breakage."""
+        if self.n < 1:
+            raise ValueError(f"vertex count {self.n} < 1")
         seen_pairs = set()
         for eid, (u, v, w) in enumerate(self.edges):
-            assert 0 <= u < self.n and 0 <= v < self.n and u != v, f"edge {eid} endpoints"
-            assert u < v, f"edge {eid} not normalized"
-            assert math.isfinite(w) and w >= 0, f"edge {eid} weight"
-            assert (u, v) not in seen_pairs, f"parallel edge {eid}"
+            if not 0 <= u < v < self.n:
+                raise ValueError(f"edge {eid} endpoints ({u}, {v}) not 0 <= u < v < n")
+            if not (math.isfinite(w) and w >= 0):
+                raise ValueError(f"edge {eid} weight")
+            if (u, v) in seen_pairs:
+                raise ValueError(f"parallel edge {eid}")
             seen_pairs.add((u, v))
-        incident = [0] * len(self.edges)
-        for v, eids in enumerate(self.adj):
-            for eid in eids:
-                a, b, _ = self.edges[eid]
-                assert v in (a, b), f"adjacency of {v} lists foreign edge {eid}"
-                incident[eid] += 1
-        assert all(c == 2 for c in incident), "adjacency/edge list mismatch"
 
 
 def build_graph(n: int, raw_edges: Iterable[tuple[int, int, float]]) -> WeightedGraph:
@@ -113,11 +108,7 @@ def build_graph(n: int, raw_edges: Iterable[tuple[int, int, float]]) -> Weighted
             edges.append((key[0], key[1], w))
         elif w < edges[at][2]:
             edges[at] = (key[0], key[1], w)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for eid, (u, v, _) in enumerate(edges):
-        adj[u].append(eid)
-        adj[v].append(eid)
-    return WeightedGraph(n=n, edges=edges, adj=adj)
+    return WeightedGraph(n=n, edges=edges)
 
 
 def component_labels(g: WeightedGraph, edge_ids: Iterable[int] | None = None) -> list[int]:
@@ -155,6 +146,7 @@ def load_edge_list(source: str | Path | IO[str]) -> WeightedGraph:
             return load_edge_list(fh)
 
     header_n: int | None = None
+    header_line = 0
     triples: list[tuple[int, int, float]] = []
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
@@ -167,6 +159,7 @@ def load_edge_list(source: str | Path | IO[str]) -> WeightedGraph:
                     try:
                         header_n = int(parts[0])
                         int(parts[1])
+                        header_line = lineno
                     except ValueError:
                         header_n = None  # plain comment
             continue
@@ -187,7 +180,7 @@ def load_edge_list(source: str | Path | IO[str]) -> WeightedGraph:
     if header_n is not None:
         if not 1 <= header_n <= MAX_VERTICES:
             raise EdgeListError(
-                f"header vertex count {header_n} outside [1, {MAX_VERTICES}]", line=1
+                f"header vertex count {header_n} outside [1, {MAX_VERTICES}]", line=header_line
             )
         for u, v, _ in triples:
             if not (0 <= u < header_n and 0 <= v < header_n):

@@ -25,10 +25,12 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Mapping, Sequence
 
 from .clustering import (
     Clustering,
+    QuotientGraph,
     RadiusCertificate,
     check_radius,
     compose,
@@ -38,7 +40,7 @@ from .clustering import (
     sample_clusters,
     singleton_clustering,
 )
-from .graph import DomainError, WeightedGraph, build_graph
+from .graph import DomainError, WeightedGraph
 
 # Disposition rule tags for discarded edges.
 RULE_JOIN = "join"                 # superseded while joining a sampled neighbor
@@ -46,6 +48,7 @@ RULE_SETTLE = "settle"             # superseded while settling with no sampled n
 RULE_INTRA = "intra-cluster"       # became internal to a grown cluster
 RULE_DEDUP = "contract-dedup"      # lost the per-super-pair minimum at contraction
 RULE_COMPLETION = "completion"     # superseded in the final completion sweep
+STAGE2 = "stage2-"                 # prefix of every twophase stage-two rule
 
 
 @dataclass(frozen=True)
@@ -137,14 +140,6 @@ class IterationTrace:
     added: int
     discarded: int
 
-    def as_dict(self) -> dict:
-        return {
-            "clusters_before": self.clusters_before,
-            "sampled": self.sampled,
-            "added": self.added,
-            "discarded": self.discarded,
-        }
-
 
 @dataclass
 class EpochTrace:
@@ -155,13 +150,7 @@ class EpochTrace:
     contract_discarded: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "p": self.p,
-            "iterations": [it.as_dict() for it in self.iterations],
-            "clusters_end": self.clusters_end,
-            "contract_discarded": self.contract_discarded,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -246,7 +235,6 @@ class _EdgeLedger:
     """Tracks each edge's fate while an algorithm runs."""
 
     def __init__(self, g: WeightedGraph):
-        self.g = g
         self.state = bytearray(g.m)  # SpannerBuild.LIVE
         self.discards: dict[int, tuple[int, int | None, str]] = {}
         self.added = 0
@@ -275,10 +263,15 @@ def _run_iteration(
     d: Clustering,
     sampled: set[int],
     live: list[int],
+    rank: Sequence[int] | Mapping[int, int],
     epoch: int,
     iteration: int,
+    prefix: str,
 ) -> tuple[Clustering, list[int], IterationTrace]:
-    """One sample/join/settle/grow/prune step on the current quotient."""
+    """One sample/join/settle/grow/prune step on the current quotient.
+
+    Weight ties go to the edge with the smaller rank[eid]; prefix is put
+    before every discard rule."""
     added0, disc0 = ledger.counts()
 
     # Group live edges per super-node by the neighboring cluster.
@@ -303,20 +296,20 @@ def _run_iteration(
         nbrs = groups.get(s)
         if not nbrs:
             continue  # isolated super-node settles with nothing to record
-        best = {c: min((g.edges[e][2], e) for e in eids) for c, eids in nbrs.items()}
+        best = {c: min((g.edges[e][2], rank[e], e) for e in eids) for c, eids in nbrs.items()}
         joins = [(be, c) for c, be in best.items() if c in sampled]
         if joins:
-            (w0, e0), c0 = min(joins)
+            (w0, _, e0), c0 = min(joins)
             x, y = g.endpoints(e0)
             attach[s] = (super_of[x] if super_of[x] != s else super_of[y], e0)
             # Join c0; strictly cheaper neighbor clusters also keep one edge.
-            rule = RULE_JOIN
-            kept = [c for c, (w1, _) in best.items() if c == c0 or w1 < w0]
+            rule = prefix + RULE_JOIN
+            kept = [c for c, (w1, _, _) in best.items() if c == c0 or w1 < w0]
         else:
-            rule = RULE_SETTLE
+            rule = prefix + RULE_SETTLE
             kept = nbrs
         for c in kept:
-            e1 = best[c][1]
+            e1 = best[c][2]
             keeps.add(e1)
             pending.extend((eid, rule) for eid in nbrs[c] if eid != e1)
 
@@ -328,6 +321,7 @@ def _run_iteration(
 
     d_next = grow_clusters(d, sampled, attach)
 
+    intra = prefix + RULE_INTRA
     survivors: list[int] = []
     for eid in live:
         if not ledger.is_live(eid):
@@ -338,7 +332,7 @@ def _run_iteration(
         if cu is None or cv is None:
             raise RuntimeError(f"live edge {eid} has an endpoint that left the clustering")
         if cu == cv:
-            ledger.discard(eid, epoch, iteration, RULE_INTRA)
+            ledger.discard(eid, epoch, iteration, intra)
         else:
             survivors.append(eid)
 
@@ -352,39 +346,80 @@ def _run_iteration(
     return d_next, survivors, trace
 
 
+def _run_epoch(
+    g: WeightedGraph, ledger: _EdgeLedger, quotient: QuotientGraph, live: list[int],
+    rank: Sequence[int] | Mapping[int, int], p: float, steps: int, rng: random.Random,
+    epoch: int, prefix: str = "",
+) -> tuple[Clustering, list[int], list[IterationTrace]]:
+    """Grow singleton clusters of the quotient's super-nodes for steps
+    iterations at sampling probability p; returns the final clustering,
+    the edges still live and the iteration traces."""
+    if steps < 1:
+        raise RuntimeError(f"epoch {epoch} ran no iteration")
+    d = singleton_clustering(quotient)
+    iterations: list[IterationTrace] = []
+    for j in range(1, steps + 1):
+        sampled = sample_clusters(d, p, rng)
+        d, live, trace = _run_iteration(
+            g, ledger, quotient.super_of, d, sampled, live, rank, epoch, j, prefix
+        )
+        iterations.append(trace)
+    return d, live, iterations
+
+
+def _contract(
+    g: WeightedGraph, ledger: _EdgeLedger, quotient: QuotientGraph, d: Clustering,
+    live: list[int], epoch: int, iteration: int,
+) -> tuple[QuotientGraph, list[int], int]:
+    """Contract d's clusters and discard the duplicate edges contract drops;
+    returns the new quotient, the edges still live and the drop count."""
+    quotient, dropped = contract(quotient, d, live, g)
+    for eid in dropped:
+        ledger.discard(eid, epoch, iteration, RULE_DEDUP)
+    return quotient, [e for e in live if ledger.is_live(e)], len(dropped)
+
+
 def _completion_sweep(
     g: WeightedGraph,
     ledger: _EdgeLedger,
     final: Clustering,
+    node_of: Sequence[int | None],
     live: list[int],
     epoch: int,
+    rule: str,
 ) -> tuple[int, int]:
-    """Final pass: every endpoint of a remaining edge keeps one minimum
-    edge into each adjacent cluster; the rest are superseded.
+    """Final pass: every node (node_of[v] for a vertex v) on a remaining
+    edge keeps one minimum edge into each adjacent cluster of final; the
+    rest are superseded.
 
-    Vertices are visited in ascending id and clusters in ascending id, so
-    the sweep is deterministic.
+    Nodes are visited in ascending id and clusters in ascending id, so the
+    sweep is deterministic.  Each node's edges keep their order in live,
+    so weight ties go to the edge that comes first there.
     """
     added0, disc0 = ledger.counts()
-    endpoints = sorted({v for eid in live for v in g.endpoints(eid)})
-    for v in endpoints:
+    incident: dict[int, list[int]] = {}
+    for eid in live:
+        u, v, _ = g.edges[eid]
+        incident.setdefault(node_of[u], []).append(eid)
+        incident.setdefault(node_of[v], []).append(eid)
+    for x in sorted(incident):
         by_cluster: dict[int, list[int]] = {}
-        for eid in g.adj[v]:
+        for eid in incident[x]:
             if not ledger.is_live(eid):
                 continue
             a, b, _ = g.edges[eid]
-            other = b if a == v else a
+            other = node_of[b] if node_of[a] == x else node_of[a]
             cid = final.cluster_of[other]
             if cid is None:
                 raise RuntimeError(f"remaining edge {eid} has an unclustered endpoint")
             by_cluster.setdefault(cid, []).append(eid)
         for cid in sorted(by_cluster):
             eids = by_cluster[cid]
-            _, keep = min((g.weight(e), e) for e in eids)
+            keep = min(eids, key=g.weight)
             ledger.add(keep)
             for eid in eids:
                 if eid != keep:
-                    ledger.discard(eid, epoch, None, RULE_COMPLETION)
+                    ledger.discard(eid, epoch, None, rule)
     added1, disc1 = ledger.counts()
     return added1 - added0, disc1 - disc0
 
@@ -459,7 +494,7 @@ def general_spanner(
     rng = random.Random(seed)
     ledger = _EdgeLedger(g)
     quotient = identity_quotient(g)
-    inner = singleton_clustering(g)
+    composed = singleton_clustering(g)
     live = list(range(g.m))
     epochs: list[EpochTrace] = []
     certs: list[RadiusCertificate] | None = [] if radius_checks else None
@@ -467,40 +502,25 @@ def general_spanner(
     schedule = epoch_schedule(k, t, g.n)
     last_epoch = schedule[-1][0]
     spent = 0  # cumulative sampling exponent, in units of 1/k
-    composed = inner
 
     for i, p, _ in schedule:
         power = (t + 1) ** (i - 1)
-        d = singleton_clustering(quotient)
-        iterations: list[IterationTrace] = []
-        for j in range(1, t + 1):
-            if spent >= k - 1:
-                break
-            spent += power
-            sampled = sample_clusters(d, p, rng)
-            d, live, trace = _run_iteration(
-                g, ledger, quotient.super_of, d, sampled, live, i, j
-            )
-            iterations.append(trace)
-        if not iterations:
-            raise RuntimeError(f"epoch {i} ran no iteration")
+        steps = 0
+        while steps < t and spent < k - 1:
+            steps, spent = steps + 1, spent + power
+        d, live, iterations = _run_epoch(g, ledger, quotient, live, range(g.m), p, steps, rng, i)
 
-        composed = compose(d, inner, quotient, g)
+        composed = compose(d, composed, quotient, g)
         if certs is not None:
             bound = ((2 * t + 1) ** i - 1) // 2
             certs.append(check_radius(g, composed, live, bound))
 
         dedup = 0
         if i < last_epoch:
-            quotient, dropped = contract(quotient, d, live, g)
-            for eid in dropped:
-                ledger.discard(eid, i, len(iterations), RULE_DEDUP)
-            dedup = len(dropped)
-            live = [e for e in live if ledger.is_live(e)]
-            inner = composed
+            quotient, live, dedup = _contract(g, ledger, quotient, d, live, i, steps)
         epochs.append(EpochTrace(i, p, iterations, len(d.center_of), dedup))
 
-    phase2 = _completion_sweep(g, ledger, composed, live, last_epoch)
+    phase2 = _completion_sweep(g, ledger, composed, range(g.n), live, last_epoch, RULE_COMPLETION)
     return _finish(g, ledger, k, t, seed, epochs, phase2, composed, certs)
 
 
@@ -521,11 +541,13 @@ def cluster_merge_spanner(
 def two_phase_spanner(g: WeightedGraph, k: int, seed: int) -> SpannerBuild:
     """Two-stage spanner for unweighted graphs with O(k) hop stretch.
 
-    Stage one runs t = ceil(sqrt(k)) growth iterations at sampling
-    probability n**(-1/k) and contracts the resulting clusters.  Stage two
-    runs the classic (2t'-1)-spanner with t' = t on the contracted graph
-    and maps its edges back.  Hop stretch is at most
-    2t + (2t+1)(2t'-1) + 2t.
+    Stage one (epoch 1) runs t = ceil(sqrt(k)) growth iterations at
+    sampling probability n**(-1/k) and contracts the resulting clusters.
+    Stage two (epoch 2) builds the classic (2t-1)-spanner of the contracted
+    graph on the same engine: t-1 iterations at probability
+    super_count**(-1/t) and the completion sweep over super-nodes, with
+    its discard rules prefixed "stage2-".  Hop stretch is at most
+    2t + (2t+1)(2t-1) + 2t.
     """
     if any(w != 1.0 for _, _, w in g.edges):
         raise DomainError("two-phase spanner requires an unweighted graph (unit weights)")
@@ -540,60 +562,24 @@ def two_phase_spanner(g: WeightedGraph, k: int, seed: int) -> SpannerBuild:
     quotient = identity_quotient(g)
     live = list(range(g.m))
     p = min(1.0, g.n ** (-1.0 / k))
-
-    d = singleton_clustering(quotient)
-    iterations: list[IterationTrace] = []
-    for j in range(1, t + 1):
-        sampled = sample_clusters(d, p, rng)
-        d, live, trace = _run_iteration(g, ledger, quotient.super_of, d, sampled, live, 1, j)
-        iterations.append(trace)
+    d, live, iterations = _run_epoch(g, ledger, quotient, live, range(g.m), p, t, rng, 1)
     composed = compose(d, singleton_clustering(g), quotient, g)
-
-    sub_quotient, dropped = contract(quotient, d, live, g)
-    for eid in dropped:
-        ledger.discard(eid, 1, t, RULE_DEDUP)
-    live = [e for e in live if ledger.is_live(e)]
-    epochs = [EpochTrace(1, p, iterations, len(d.center_of), len(dropped))]
-
+    quotient, live, dedup = _contract(g, ledger, quotient, d, live, 1, t)
+    epochs = [EpochTrace(1, p, iterations, len(d.center_of), dedup)]
     if not live:
         return _finish(g, ledger, k, t, seed, epochs, (0, 0), composed, None)
 
-    # contract left one live edge per super-node pair; stage two numbers
-    # them in (pair, edge id) order.
-    super_of = sub_quotient.super_of
-    stage2 = []
-    for eid in live:
-        u, v, _ = g.edges[eid]
-        a, b = super_of[u], super_of[v]
-        stage2.append((min(a, b), max(a, b), eid))
-    stage2.sort()
-    contracted = build_graph(sub_quotient.super_count, [(a, b, 1.0) for a, b, _ in stage2])
-    to_original = [eid for _, _, eid in stage2]
-
-    sub = baswana_sen(contracted, t, rng.getrandbits(63))
-    for sub_eid in range(contracted.m):
-        orig = to_original[sub_eid]
-        dispo = sub.disposition(sub_eid)
-        if dispo[0] == "in_spanner":
-            ledger.add(orig)
-        else:
-            _, ep, it, rule = dispo
-            ledger.discard(orig, ep + 1, it, f"stage2-{rule}")
-    for ep in sub.epochs:
-        epochs.append(
-            EpochTrace(ep.epoch + 1, ep.p, ep.iterations, ep.clusters_end, ep.contract_discarded)
-        )
-
-    # Final clustering: expand stage two's trees (edge ids remapped back to
-    # the original graph) through the stage-one contraction.
-    fc = sub.final_clustering
-    remapped = Clustering(
-        node_count=fc.node_count,
-        cluster_of=list(fc.cluster_of),
-        center_of=dict(fc.center_of),
-        parent=[None if pe is None else (pe[0], to_original[pe[1]]) for pe in fc.parent],
-        depth_of=list(fc.depth_of),
+    # contract left one live edge per super-node pair.  Stage two lists
+    # them by that pair, so unit-weight ties go to the smaller pair.
+    super_of = quotient.super_of
+    live.sort(key=lambda e: sorted((super_of[g.edges[e][0]], super_of[g.edges[e][1]])))
+    rank = {eid: pos for pos, eid in enumerate(live)}
+    p2 = min(1.0, quotient.super_count ** (-1.0 / t))
+    rng2 = random.Random(rng.getrandbits(63))
+    d2, live, iterations = _run_epoch(
+        g, ledger, quotient, live, rank, p2, t - 1, rng2, 2, STAGE2
     )
-    final = compose(remapped, composed, sub_quotient, g)
-    phase2 = (sub.phase2_added, sub.phase2_discarded)
+    epochs.append(EpochTrace(2, p2, iterations, len(d2.center_of)))
+    phase2 = _completion_sweep(g, ledger, d2, super_of, live, 2, STAGE2 + RULE_COMPLETION)
+    final = compose(d2, composed, quotient, g)
     return _finish(g, ledger, k, t, seed, epochs, phase2, final, None)

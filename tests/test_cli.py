@@ -212,8 +212,16 @@ def test_study_apsp_mode(tmp_path, schema):
     assert report["max_ratio"] >= 1.0
 
 
-def test_study_bad_generator_exits_2():
-    assert run_cli(["study", "--gen", "mesh:9", "--k", "2", "--trials", "1"]) == 2
+@pytest.mark.parametrize("spec", ["mesh:9", "path:51"])
+@pytest.mark.parametrize(
+    "command",
+    [["study", "--k", "2", "--trials", "1"], ["build", "--algo", "bs", "--k", "2"]],
+    ids=["study", "build"],
+)
+def test_study_bad_generator_exits_2(command, spec, monkeypatch):
+    # path:51 is over the monkeypatched vertex cap; mesh is no generator.
+    monkeypatch.setattr(spanforge.graph, "MAX_VERTICES", 50)
+    assert run_cli(command + ["--gen", spec]) == 2
 
 
 def test_study_t_and_apsp_are_general_only():

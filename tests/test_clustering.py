@@ -291,3 +291,21 @@ def test_check_radius_passes_with_light_tree():
     )
     cert = check_radius(g, chain, [2], 2)
     assert cert.passed
+
+
+def test_validate_raises_value_error():
+    c = singleton_clustering(gen_star(3))
+    c.cluster_of[1], c.parent[1], c.depth_of[1] = 0, (0, 0), 1
+    del c.center_of[1]
+    c.validate()
+    c.parent[0] = (1, 0)  # the root hangs below its own child
+    with pytest.raises(ValueError, match="depth does not drop"):
+        c.validate()
+    c.parent[0] = None
+    c.depth_of[1] = 2
+    with pytest.raises(ValueError, match="depth does not drop"):
+        c.validate()
+    c.depth_of[1] = 1
+    c.cluster_of[2] = 0
+    with pytest.raises(ValueError, match="root 2 not in own cluster"):
+        c.validate()

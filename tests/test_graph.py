@@ -1,14 +1,20 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spanforge
 import spanforge.graph
 from spanforge import (
     DomainError,
     EdgeListError,
+    WeightedGraph,
     build_graph,
     component_labels,
     gen_complete,
@@ -176,3 +182,40 @@ def test_vertex_cap_on_header_and_generator_specs(monkeypatch):
     for spec in ("gnp:101:0.1:unit", "grid:11:10", "path:101"):
         with pytest.raises(DomainError, match="limit 100"):
             parse_generator_spec(spec)
+
+
+def test_header_error_names_the_header_line():
+    with pytest.raises(EdgeListError, match="line 3: header vertex count 0") as exc:
+        load_edge_list(io.StringIO("# comment\n\n# 0 0\n"))
+    assert exc.value.line == 3
+
+
+def test_validate_raises_value_error():
+    with pytest.raises(ValueError, match="weight"):
+        WeightedGraph(2, [(0, 1, -1.0)]).validate()
+    with pytest.raises(ValueError, match="not 0 <= u < v < n"):
+        WeightedGraph(2, [(1, 0, 1.0)]).validate()
+    with pytest.raises(ValueError, match="parallel"):
+        WeightedGraph(2, [(0, 1, 1.0), (0, 1, 2.0)]).validate()
+
+
+def test_validate_raises_under_python_O(tmp_path):
+    # Under -O a bare assert would vanish and both broken inputs would pass.
+    script = (
+        "from spanforge import WeightedGraph, singleton_clustering\n"
+        "g = WeightedGraph(2, [(1, 0, -1.0)])\n"
+        "c = singleton_clustering(WeightedGraph(2, []))\n"
+        "c.cluster_of[1] = 0\n"
+        "for check in (g.validate, c.validate):\n"
+        "    try:\n"
+        "        check()\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(Path(spanforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["edge 0 endpoints (1, 0) not 0 <= u < v < n", "root 1 not in own cluster"]

@@ -29,6 +29,7 @@ def _check_build(g, algo, k, t, seed):
     assert all(build.disposition(e)[0] != "unprocessed" for e in range(g.m))
     assert build.size + sum(build.discard_histogram().values()) == g.m
     assert component_labels(g, build.spanner_edges) == component_labels(g)
+    build.final_clustering.validate()
     tree_edges = {pe[1] for pe in build.final_clustering.parent if pe is not None}
     assert tree_edges <= spanner
     assert audit_stretch(g, build.spanner_edges, stretch_bound(algo, k, t)).passed
