@@ -16,7 +16,9 @@ import sys
 from dataclasses import dataclass
 
 from .apsp import ApspBoundError, apsp_experiment
-from .graph import DomainError, EdgeListError, load_edge_list, parse_generator_spec, write_edge_list
+from .graph import (
+    DomainError, EdgeListError, WeightedGraph, load_edge_list, parse_generator_spec, write_edge_list
+)
 from .oracles import ALGORITHMS, Params, audit_stretch, size_study
 from .spanner import SpannerBuild, epoch_count, stretch_bound
 
@@ -51,9 +53,13 @@ class CostModel:
         }
 
 
-def cost_model(k: int, t: int, gamma: float = 1.0) -> CostModel:
+def _check_gamma(gamma: float) -> None:
     if not (0.0 < gamma <= 1.0):
         raise DomainError(f"gamma must be in (0, 1], got {gamma}")
+
+
+def cost_model(k: int, t: int, gamma: float = 1.0) -> CostModel:
+    _check_gamma(gamma)
     epochs = epoch_count(k, t)
     iterations = epochs * t
     return CostModel(
@@ -107,6 +113,7 @@ def cmd_build(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     try:
+        _check_gamma(args.gamma)
         if args.gen is None:
             source, g = args.input, load_edge_list(args.input)
         else:
@@ -116,10 +123,8 @@ def cmd_build(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.spanner_out:
-        sub_edges = [g.edges[eid] for eid in build.spanner_edges]
-        from .graph import build_graph
-
-        write_edge_list(build_graph(g.n, sub_edges), args.spanner_out)
+        spanner = WeightedGraph(g.n, [g.edges[eid] for eid in build.spanner_edges])
+        write_edge_list(spanner, args.spanner_out)
     report = build_report(source, args.algo, build, args.gamma)
     status = 0
     if args.audit is not None:

@@ -39,9 +39,6 @@ class Clustering:
     def clusters(self) -> list[int]:
         return sorted(self.center_of)
 
-    def members(self, cid: int) -> list[int]:
-        return [v for v in range(self.node_count) if self.cluster_of[v] == cid]
-
     def active_count(self) -> int:
         return sum(1 for c in self.cluster_of if c is not None)
 

@@ -212,15 +212,24 @@ def write_edge_list(g: WeightedGraph, sink: str | Path | IO[str]) -> None:
 WeightSpec = str | tuple[str, float, float]
 
 
-def _weight_sampler(weights: WeightSpec, rng: random.Random):
+def _check_sizes(**sizes: int) -> None:
+    for name, size in sizes.items():
+        if size < 1:
+            raise DomainError(f"{name} must be >= 1, got {size}")
+
+
+def _check_gnp(n: int, p: float, weights: WeightSpec) -> None:
+    """gen_gnp's domain; parse_generator_spec checks specs with it too."""
+    _check_sizes(n=n)
+    if not (0.0 <= p <= 1.0):
+        raise DomainError(f"p must be in [0, 1], got {p}")
     if weights == "unit":
-        return lambda: 1.0
-    if isinstance(weights, tuple) and len(weights) == 3 and weights[0] == "uniform":
-        lo, hi = float(weights[1]), float(weights[2])
-        if lo < 0 or hi < lo:
-            raise DomainError(f"bad uniform weight range ({lo},{hi})")
-        return lambda: rng.uniform(lo, hi)
-    raise DomainError(f"unknown weight distribution {weights!r}")
+        return
+    if not (isinstance(weights, tuple) and len(weights) == 3 and weights[0] == "uniform"):
+        raise DomainError(f"unknown weight distribution {weights!r}")
+    lo, hi = float(weights[1]), float(weights[2])
+    if not 0 <= lo <= hi < math.inf:
+        raise DomainError(f"bad uniform weight range ({lo},{hi})")
 
 
 def gen_gnp(n: int, p: float, weights: WeightSpec = "unit", seed: int = 0) -> WeightedGraph:
@@ -229,60 +238,49 @@ def gen_gnp(n: int, p: float, weights: WeightSpec = "unit", seed: int = 0) -> We
     A pure function of (n, p, weights, seed): the same arguments always
     produce the same graph.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"p must be in [0, 1], got {p}")
+    _check_gnp(n, p, weights)
+    unit = weights == "unit"
+    if not unit:
+        lo, hi = float(weights[1]), float(weights[2])
     rng = random.Random(seed)
-    draw = _weight_sampler(weights, rng)
     triples = []
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < p:
-                triples.append((i, j, draw()))
+                triples.append((i, j, 1.0 if unit else rng.uniform(lo, hi)))
     return build_graph(n, triples)
 
 
-def gen_path(n: int, weights: WeightSpec = "unit", seed: int = 0) -> WeightedGraph:
-    rng = random.Random(seed)
-    draw = _weight_sampler(weights, rng)
-    return build_graph(n, [(i, i + 1, draw()) for i in range(n - 1)])
+def gen_path(n: int) -> WeightedGraph:
+    _check_sizes(n=n)
+    return build_graph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
 
 
-def gen_cycle(n: int, weights: WeightSpec = "unit", seed: int = 0) -> WeightedGraph:
+def gen_cycle(n: int) -> WeightedGraph:
     if n < 3:
         raise DomainError("cycle needs n >= 3")
-    rng = random.Random(seed)
-    draw = _weight_sampler(weights, rng)
-    return build_graph(n, [(i, (i + 1) % n, draw()) for i in range(n)])
+    return build_graph(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
 
 
-def gen_complete(n: int, weights: WeightSpec = "unit", seed: int = 0) -> WeightedGraph:
-    rng = random.Random(seed)
-    draw = _weight_sampler(weights, rng)
-    return build_graph(n, [(i, j, draw()) for i in range(n) for j in range(i + 1, n)])
+def gen_complete(n: int) -> WeightedGraph:
+    return build_graph(n, [(i, j, 1.0) for i in range(n) for j in range(i + 1, n)])
 
 
-def gen_star(n: int, weights: WeightSpec = "unit", seed: int = 0) -> WeightedGraph:
+def gen_star(n: int) -> WeightedGraph:
     """Star on n vertices: center 0 joined to 1..n-1."""
-    rng = random.Random(seed)
-    draw = _weight_sampler(weights, rng)
-    return build_graph(n, [(0, i, draw()) for i in range(1, n)])
+    return build_graph(n, [(0, i, 1.0) for i in range(1, n)])
 
 
-def gen_grid(width: int, height: int, weights: WeightSpec = "unit", seed: int = 0) -> WeightedGraph:
-    if width < 1 or height < 1:
-        raise DomainError("grid needs width, height >= 1")
-    rng = random.Random(seed)
-    draw = _weight_sampler(weights, rng)
+def gen_grid(width: int, height: int) -> WeightedGraph:
+    _check_sizes(width=width, height=height)
     triples = []
     for r in range(height):
         for c in range(width):
             v = r * width + c
             if c + 1 < width:
-                triples.append((v, v + 1, draw()))
+                triples.append((v, v + 1, 1.0))
             if r + 1 < height:
-                triples.append((v, v + width, draw()))
+                triples.append((v, v + width, 1.0))
     return build_graph(width * height, triples)
 
 
@@ -294,15 +292,14 @@ def parse_generator_spec(spec: str):
         gnp:<n>:<p>:uniform(<lo>,<hi>)
         grid:<w>:<h>
         path:<n>
+
+    A malformed spec, or one outside its generator's domain or over
+    MAX_VERTICES vertices, raises DomainError.
     """
-    parts = spec.split(":")
-    make = None
+    kind, *args = spec.split(":")
     try:
-        kind = parts[0]
-        if kind == "gnp":
-            if len(parts) != 4:
-                raise ValueError
-            n, p, wspec = int(parts[1]), float(parts[2]), parts[3]
+        if kind == "gnp" and len(args) == 3:
+            n, p, wspec = int(args[0]), float(args[1]), args[2]
             if wspec == "unit":
                 weights: WeightSpec = "unit"
             elif wspec.startswith("uniform(") and wspec.endswith(")"):
@@ -310,21 +307,22 @@ def parse_generator_spec(spec: str):
                 weights = ("uniform", float(lo), float(hi))
             else:
                 raise ValueError
+            _check_gnp(n, p, weights)
             vertices, make = n, lambda seed: gen_gnp(n, p, weights, seed)
-        elif kind == "grid":
-            if len(parts) != 3:
-                raise ValueError
-            w, h = int(parts[1]), int(parts[2])
-            vertices, make = w * h, lambda seed: gen_grid(w, h, "unit", seed)
-        elif kind == "path":
-            if len(parts) != 2:
-                raise ValueError
-            n = int(parts[1])
-            vertices, make = n, lambda seed: gen_path(n, "unit", seed)
-    except (ValueError, IndexError):
-        make = None
-    if make is None:
-        raise DomainError(f"bad generator spec {spec!r}")
+        elif kind == "grid" and len(args) == 2:
+            w, h = int(args[0]), int(args[1])
+            _check_sizes(width=w, height=h)
+            vertices, make = w * h, lambda seed: gen_grid(w, h)
+        elif kind == "path" and len(args) == 1:
+            n = int(args[0])
+            _check_sizes(n=n)
+            vertices, make = n, lambda seed: gen_path(n)
+        else:
+            raise ValueError
+    except DomainError:
+        raise
+    except ValueError:
+        raise DomainError(f"bad generator spec {spec!r}") from None
     if vertices > MAX_VERTICES:
         raise DomainError(
             f"generator spec {spec!r} asks for {vertices} vertices, over the limit {MAX_VERTICES}"

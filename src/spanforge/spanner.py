@@ -26,7 +26,7 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .clustering import (
     Clustering,
@@ -256,6 +256,39 @@ class _EdgeLedger:
         return self.added, len(self.discards)
 
 
+def _incident(
+    g: WeightedGraph, node_of: Sequence[int | None], live: list[int]
+) -> dict[int, list[int]]:
+    """Each node's live edges (node_of[v] for a vertex v), in live order."""
+    incident: dict[int, list[int]] = {}
+    for eid in live:
+        u, v, _ = g.edges[eid]
+        incident.setdefault(node_of[u], []).append(eid)
+        incident.setdefault(node_of[v], []).append(eid)
+    return incident
+
+
+def _lightest_by_cluster(
+    g: WeightedGraph, x: int, eids: list[int], node_of: Sequence[int | None],
+    cluster_of: list[int | None],
+) -> tuple[list[int], dict[int, int]]:
+    """For node x's edges eids: the cluster at each edge's far end, and x's
+    lightest edge into each such cluster.  Ties go to the edge that comes
+    first in eids."""
+    far: list[int] = []
+    best: dict[int, int] = {}
+    for eid in eids:
+        a, b, w = g.edges[eid]
+        c = cluster_of[node_of[b] if node_of[a] == x else node_of[a]]
+        if c is None:
+            raise RuntimeError(f"live edge {eid} has an endpoint outside the clustering")
+        far.append(c)
+        e1 = best.get(c)
+        if e1 is None or w < g.edges[e1][2]:
+            best[c] = eid
+    return far, best
+
+
 def _run_iteration(
     g: WeightedGraph,
     ledger: _EdgeLedger,
@@ -263,61 +296,45 @@ def _run_iteration(
     d: Clustering,
     sampled: set[int],
     live: list[int],
-    rank: Sequence[int] | Mapping[int, int],
     epoch: int,
     iteration: int,
     prefix: str,
 ) -> tuple[Clustering, list[int], IterationTrace]:
     """One sample/join/settle/grow/prune step on the current quotient.
 
-    Weight ties go to the edge with the smaller rank[eid]; prefix is put
-    before every discard rule."""
+    Super-nodes are visited in ascending id; weight ties go to the edge
+    that comes first in live.  prefix is put before every discard rule."""
     added0, disc0 = ledger.counts()
-
-    # Group live edges per super-node by the neighboring cluster.
-    groups: dict[int, dict[int, list[int]]] = {}
-    for eid in live:
-        u, v, _ = g.edges[eid]
-        su, sv = super_of[u], super_of[v]
-        cu, cv = d.cluster_of[su], d.cluster_of[sv]
-        if cu is None or cv is None or cu == cv:
-            raise RuntimeError(f"live edge {eid} lies inside a cluster or leaves the clustering")
-        groups.setdefault(su, {}).setdefault(cv, []).append(eid)
-        groups.setdefault(sv, {}).setdefault(cu, []).append(eid)
-
-    keeps: set[int] = set()
     attach: dict[int, tuple[int, int]] = {}
     pending: list[tuple[int, str]] = []
 
-    for s in range(d.node_count):
+    incident = _incident(g, super_of, live)
+    for s in sorted(incident):
+        eids = incident[s]
+        far, best = _lightest_by_cluster(g, s, eids, super_of, d.cluster_of)
         cid = d.cluster_of[s]
-        if cid is None or cid in sampled:
+        if cid is None or cid in best:
+            raise RuntimeError(f"a live edge of node {s} lies inside its cluster or outside any")
+        if cid in sampled:
             continue
-        nbrs = groups.get(s)
-        if not nbrs:
-            continue  # isolated super-node settles with nothing to record
-        best = {c: min((g.edges[e][2], rank[e], e) for e in eids) for c, eids in nbrs.items()}
-        joins = [(be, c) for c, be in best.items() if c in sampled]
+        joins = [eid for eid, c in zip(eids, far) if c in sampled]
         if joins:
-            (w0, _, e0), c0 = min(joins)
+            e0 = min(joins, key=g.weight)
+            w0 = g.weight(e0)
             x, y = g.endpoints(e0)
             attach[s] = (super_of[x] if super_of[x] != s else super_of[y], e0)
-            # Join c0; strictly cheaper neighbor clusters also keep one edge.
+            # Join e0's cluster; strictly cheaper neighbor clusters also keep one edge.
             rule = prefix + RULE_JOIN
-            kept = [c for c, (w1, _, _) in best.items() if c == c0 or w1 < w0]
+            kept = {c for c, e1 in best.items() if e1 == e0 or g.weight(e1) < w0}
         else:
             rule = prefix + RULE_SETTLE
-            kept = nbrs
+            kept = best
         for c in kept:
-            e1 = best[c][2]
-            keeps.add(e1)
-            pending.extend((eid, rule) for eid in nbrs[c] if eid != e1)
+            ledger.add(best[c])
+        pending.extend((eid, rule) for eid, c in zip(eids, far) if c in kept and eid != best[c])
 
-    for eid in sorted(keeps):
-        ledger.add(eid)
     for eid, rule in pending:
-        if ledger.is_live(eid):
-            ledger.discard(eid, epoch, iteration, rule)
+        ledger.discard(eid, epoch, iteration, rule)
 
     d_next = grow_clusters(d, sampled, attach)
 
@@ -348,8 +365,7 @@ def _run_iteration(
 
 def _run_epoch(
     g: WeightedGraph, ledger: _EdgeLedger, quotient: QuotientGraph, live: list[int],
-    rank: Sequence[int] | Mapping[int, int], p: float, steps: int, rng: random.Random,
-    epoch: int, prefix: str = "",
+    p: float, steps: int, rng: random.Random, epoch: int, prefix: str = "",
 ) -> tuple[Clustering, list[int], list[IterationTrace]]:
     """Grow singleton clusters of the quotient's super-nodes for steps
     iterations at sampling probability p; returns the final clustering,
@@ -361,7 +377,7 @@ def _run_epoch(
     for j in range(1, steps + 1):
         sampled = sample_clusters(d, p, rng)
         d, live, trace = _run_iteration(
-            g, ledger, quotient.super_of, d, sampled, live, rank, epoch, j, prefix
+            g, ledger, quotient.super_of, d, sampled, live, epoch, j, prefix
         )
         iterations.append(trace)
     return d, live, iterations
@@ -389,37 +405,23 @@ def _completion_sweep(
     rule: str,
 ) -> tuple[int, int]:
     """Final pass: every node (node_of[v] for a vertex v) on a remaining
-    edge keeps one minimum edge into each adjacent cluster of final; the
+    edge keeps its lightest edge into each adjacent cluster of final; the
     rest are superseded.
 
-    Nodes are visited in ascending id and clusters in ascending id, so the
-    sweep is deterministic.  Each node's edges keep their order in live,
-    so weight ties go to the edge that comes first there.
+    Nodes are visited in ascending id, each skipping the edges an earlier
+    node already decided, and weight ties go to the edge that comes first
+    in live, so the sweep is deterministic.
     """
     added0, disc0 = ledger.counts()
-    incident: dict[int, list[int]] = {}
-    for eid in live:
-        u, v, _ = g.edges[eid]
-        incident.setdefault(node_of[u], []).append(eid)
-        incident.setdefault(node_of[v], []).append(eid)
+    incident = _incident(g, node_of, live)
     for x in sorted(incident):
-        by_cluster: dict[int, list[int]] = {}
-        for eid in incident[x]:
-            if not ledger.is_live(eid):
-                continue
-            a, b, _ = g.edges[eid]
-            other = node_of[b] if node_of[a] == x else node_of[a]
-            cid = final.cluster_of[other]
-            if cid is None:
-                raise RuntimeError(f"remaining edge {eid} has an unclustered endpoint")
-            by_cluster.setdefault(cid, []).append(eid)
-        for cid in sorted(by_cluster):
-            eids = by_cluster[cid]
-            keep = min(eids, key=g.weight)
-            ledger.add(keep)
-            for eid in eids:
-                if eid != keep:
-                    ledger.discard(eid, epoch, None, rule)
+        eids = [eid for eid in incident[x] if ledger.is_live(eid)]
+        far, best = _lightest_by_cluster(g, x, eids, node_of, final.cluster_of)
+        for eid, c in zip(eids, far):
+            if eid == best[c]:
+                ledger.add(eid)
+            else:
+                ledger.discard(eid, epoch, None, rule)
     added1, disc1 = ledger.counts()
     return added1 - added0, disc1 - disc0
 
@@ -508,7 +510,7 @@ def general_spanner(
         steps = 0
         while steps < t and spent < k - 1:
             steps, spent = steps + 1, spent + power
-        d, live, iterations = _run_epoch(g, ledger, quotient, live, range(g.m), p, steps, rng, i)
+        d, live, iterations = _run_epoch(g, ledger, quotient, live, p, steps, rng, i)
 
         composed = compose(d, composed, quotient, g)
         if certs is not None:
@@ -562,7 +564,7 @@ def two_phase_spanner(g: WeightedGraph, k: int, seed: int) -> SpannerBuild:
     quotient = identity_quotient(g)
     live = list(range(g.m))
     p = min(1.0, g.n ** (-1.0 / k))
-    d, live, iterations = _run_epoch(g, ledger, quotient, live, range(g.m), p, t, rng, 1)
+    d, live, iterations = _run_epoch(g, ledger, quotient, live, p, t, rng, 1)
     composed = compose(d, singleton_clustering(g), quotient, g)
     quotient, live, dedup = _contract(g, ledger, quotient, d, live, 1, t)
     epochs = [EpochTrace(1, p, iterations, len(d.center_of), dedup)]
@@ -573,12 +575,9 @@ def two_phase_spanner(g: WeightedGraph, k: int, seed: int) -> SpannerBuild:
     # them by that pair, so unit-weight ties go to the smaller pair.
     super_of = quotient.super_of
     live.sort(key=lambda e: sorted((super_of[g.edges[e][0]], super_of[g.edges[e][1]])))
-    rank = {eid: pos for pos, eid in enumerate(live)}
     p2 = min(1.0, quotient.super_count ** (-1.0 / t))
     rng2 = random.Random(rng.getrandbits(63))
-    d2, live, iterations = _run_epoch(
-        g, ledger, quotient, live, rank, p2, t - 1, rng2, 2, STAGE2
-    )
+    d2, live, iterations = _run_epoch(g, ledger, quotient, live, p2, t - 1, rng2, 2, STAGE2)
     epochs.append(EpochTrace(2, p2, iterations, len(d2.center_of)))
     phase2 = _completion_sweep(g, ledger, d2, super_of, live, 2, STAGE2 + RULE_COMPLETION)
     final = compose(d2, composed, quotient, g)

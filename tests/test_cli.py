@@ -212,14 +212,19 @@ def test_study_apsp_mode(tmp_path, schema):
     assert report["max_ratio"] >= 1.0
 
 
-@pytest.mark.parametrize("spec", ["mesh:9", "path:51"])
+@pytest.mark.parametrize(
+    "spec",
+    ["mesh:9", "path:51", "gnp:10:2:unit", "gnp:10:nan:unit", "gnp:10:0.5:uniform(5,1)",
+     "grid:0:5", "path:0"],
+)
 @pytest.mark.parametrize(
     "command",
     [["study", "--k", "2", "--trials", "1"], ["build", "--algo", "bs", "--k", "2"]],
     ids=["study", "build"],
 )
 def test_study_bad_generator_exits_2(command, spec, monkeypatch):
-    # path:51 is over the monkeypatched vertex cap; mesh is no generator.
+    # path:51 is over the monkeypatched vertex cap; mesh is no generator;
+    # the rest are well-formed but outside their generator's domain.
     monkeypatch.setattr(spanforge.graph, "MAX_VERTICES", 50)
     assert run_cli(command + ["--gen", spec]) == 2
 
@@ -279,3 +284,14 @@ def test_spanner_out_roundtrip(tmp_path):
     report = read_json(tmp_path / "b.json")
     sub = load_edge_list(spanner_file)
     assert sub.m == report["size"]
+
+
+@pytest.mark.parametrize("gamma", ["0", "nan", "1.5"])
+def test_build_rejects_gamma_before_building(tmp_path, capsys, gamma):
+    spanner_file = tmp_path / "spanner.txt"
+    code = run_cli(["build", "--gen", "path:5", "--algo", "bs", "--k", "2", "--gamma", gamma,
+                    "--out", str(tmp_path / "b.json"), "--spanner-out", str(spanner_file)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: gamma must be in (0, 1]")
+    assert not spanner_file.exists()
+    assert not (tmp_path / "b.json").exists()

@@ -146,7 +146,8 @@ def test_parse_generator_spec():
         g = make(0)
         g.validate()
         assert desc == spec
-    for bad in ["gnp:50", "ring:5", "gnp:50:0.2:normal", "grid:4", ""]:
+    for bad in ["gnp:50", "ring:5", "gnp:50:0.2:normal", "grid:4", "", "grid:-2:-3",
+                "gnp:10:0.5:uniform(nan,5)", "gnp:10:0.5:uniform(0,inf)"]:
         with pytest.raises(DomainError):
             parse_generator_spec(bad)
 

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from spanforge import (
+    Clustering,
     DomainError,
     Params,
     audit_stretch,
@@ -20,7 +21,14 @@ from spanforge import (
     stretch_exponent,
     two_phase_spanner,
 )
-from spanforge.spanner import _EdgeLedger, _finish
+from spanforge.spanner import (
+    RULE_JOIN,
+    SpannerBuild,
+    _completion_sweep,
+    _EdgeLedger,
+    _finish,
+    _run_iteration,
+)
 
 LOG2_3 = math.log2(3)
 
@@ -251,3 +259,36 @@ def test_finish_rejects_unprocessed_edges():
     g = gen_path(4)
     with pytest.raises(RuntimeError, match="unprocessed"):
         _finish(g, _EdgeLedger(g), 2, 1, 0, [], (0, 0), singleton_clustering(g), None)
+
+
+@pytest.mark.parametrize(
+    "live, winner, host, discarded",
+    [([0, 1, 2], 0, 1, []), ([2, 1, 0], 2, 2, [1]), ([1, 0, 2], 1, 2, [2])],
+)
+def test_join_tie_goes_to_the_first_edge_in_live(live, winner, host, discarded):
+    # Node 0 has equal-weight edges into the sampled clusters {1} (edge 0)
+    # and {2, 3} (edges 1 and 2); edge 3 is the tree edge of {2, 3}.
+    g = build_graph(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (2, 3, 1.0)])
+    d = Clustering(4, [0, 1, 2, 2], {0: 0, 1: 1, 2: 2}, [None, None, None, (2, 3)], [0, 0, 0, 1])
+    d.validate()
+    ledger = _EdgeLedger(g)
+    d_next, survivors, _ = _run_iteration(g, ledger, [0, 1, 2, 3], d, {1, 2}, live, 1, 1, "")
+    assert d_next.cluster_of[0] == host
+    assert d_next.parent[0] == (g.edges[winner][1], winner)
+    assert ledger.state[winner] == SpannerBuild.IN
+    # The other edge into the host cluster is superseded; edges into the
+    # other cluster are no lighter, so they stay live.
+    assert ledger.discards == {e: (1, 1, RULE_JOIN) for e in discarded}
+    assert survivors == [e for e in live if e != winner and e not in discarded]
+
+
+def test_completion_sweep_skips_edges_an_earlier_node_kept():
+    # Clusters {0, 2} (tree edge 2) and {1}.  Node 0 keeps edge 0 into {1};
+    # node 1 then sees only edge 1 into {0, 2}, so it keeps that too rather
+    # than counting the lighter edge 0 a second time.
+    g = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 1.0)])
+    final = Clustering(3, [0, 1, 0], {0: 0, 1: 1}, [None, None, (0, 2)], [0, 0, 1])
+    final.validate()
+    ledger = _EdgeLedger(g)
+    assert _completion_sweep(g, ledger, final, range(3), [0, 1], 1, "completion") == (2, 0)
+    assert ledger.state[0] == ledger.state[1] == SpannerBuild.IN
