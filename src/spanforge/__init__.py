@@ -55,7 +55,6 @@ from .apsp import (
     ApspReport,
     apsp_experiment,
     apsp_matrix,
-    apsp_on_spanner,
     coordinator_budget,
     write_distance_csv,
 )

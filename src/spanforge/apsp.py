@@ -1,9 +1,10 @@
 """Approximate all-pairs shortest paths answered from a spanner alone.
 
 Build a near-linear-size spanner once, then compute every pairwise
-distance on the spanner subgraph.  The exact oracle is repeated Dijkstra,
-which is adequate at the guarded instance sizes; comparing the two
-matrices measures the realized approximation factor.
+distance on the spanner subgraph.  The exact oracle is one BFS per source
+on unit weights and one Dijkstra per source otherwise, which is adequate
+at the guarded instance sizes; comparing the two matrices measures the
+realized approximation factor.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .graph import DomainError, WeightedGraph
-from .oracles import _dijkstra_on, _subgraph_adj
+from .oracles import _shortest_paths
 from .spanner import general_spanner, stretch_bound
 
 EXACT_APSP_GUARD = 2000
@@ -28,22 +29,13 @@ class ApspBoundError(RuntimeError):
 
 
 def apsp_matrix(g: WeightedGraph, edge_ids: Iterable[int] | None = None) -> np.ndarray:
-    """All-pairs distance matrix via one Dijkstra per source; +inf when
-    unreachable."""
-    adj = _subgraph_adj(g, edge_ids)
+    """All-pairs distance matrix, one exact single-source run per source
+    (BFS on unit weights, Dijkstra otherwise); +inf when unreachable."""
+    distances = _shortest_paths(g, edge_ids)
     out = np.empty((g.n, g.n), dtype=np.float64)
     for src in range(g.n):
-        out[src, :] = _dijkstra_on(adj, src)
+        out[src, :] = distances(src)
     return out
-
-
-def apsp_on_spanner(g: WeightedGraph, spanner_edges: Iterable[int]) -> np.ndarray:
-    """All-pairs distances restricted to the spanner subgraph."""
-    eids = list(spanner_edges)
-    for eid in eids:
-        if not (0 <= eid < g.m):
-            raise DomainError(f"spanner edge id {eid} not in graph")
-    return apsp_matrix(g, eids)
 
 
 def coordinator_budget(n: int, factor: float = 8.0) -> float:

@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 
 # Largest vertex count taken from outside input: an edge-list header or a
@@ -111,14 +111,45 @@ def build_graph(n: int, raw_edges: Iterable[tuple[int, int, float]]) -> Weighted
     return WeightedGraph(n=n, edges=edges)
 
 
+def edge_id_list(g: WeightedGraph, edge_ids: Iterable[int] | None = None) -> Sequence[int]:
+    """edge_ids as a sequence in their given order (all edges when None).
+
+    Raises DomainError for an id outside [0, m): a negative id would
+    otherwise index from the end of g.edges without an error.
+    """
+    if edge_ids is None:
+        return range(g.m)
+    eids = list(edge_ids)
+    for eid in eids:
+        if not 0 <= eid < g.m:
+            raise DomainError(f"edge id {eid} not in graph")
+    return eids
+
+
+def neighbour_lists(
+    g: WeightedGraph, edge_ids: Iterable[int] | None = None, weighted: bool = False
+) -> list[list]:
+    """Adjacency of the subgraph on edge_ids (all edges when None).
+
+    nbrs[x] lists, in edge_ids order, the other end y of each edge at x,
+    or (y, w) when weighted.  Edge ids are checked by edge_id_list.
+    """
+    nbrs: list[list] = [[] for _ in range(g.n)]
+    edges = g.edges
+    for eid in edge_id_list(g, edge_ids):
+        u, v, w = edges[eid]
+        if weighted:
+            nbrs[u].append((v, w))
+            nbrs[v].append((u, w))
+        else:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    return nbrs
+
+
 def component_labels(g: WeightedGraph, edge_ids: Iterable[int] | None = None) -> list[int]:
     """Connected-component label per vertex, over all edges or a subset."""
-    eids = range(g.m) if edge_ids is None else edge_ids
-    nbr: list[list[int]] = [[] for _ in range(g.n)]
-    for eid in eids:
-        u, v, _ = g.edges[eid]
-        nbr[u].append(v)
-        nbr[v].append(u)
+    nbr = neighbour_lists(g, edge_ids)
     label = [-1] * g.n
     current = 0
     for start in range(g.n):

@@ -1,7 +1,8 @@
 """Brute-force oracles and statistical checks for spanner builds.
 
 Everything here is deliberately independent of the construction code:
-distances come from plain Dijkstra (cross-checked by Bellman-Ford),
+distances come from plain Dijkstra, or BFS when every edge weighs exactly
+1.0 (both cross-checked by Bellman-Ford),
 stretch is audited edge by edge on the spanner subgraph, and size claims
 are measured over repeated seeded runs rather than trusted.
 """
@@ -18,11 +19,13 @@ from .graph import (
     DomainError,
     WeightedGraph,
     component_labels,
+    edge_id_list,
     gen_complete,
     gen_cycle,
     gen_gnp,
     gen_path,
     gen_star,
+    neighbour_lists,
     parse_generator_spec,
 )
 from .spanner import (
@@ -36,16 +39,6 @@ from .spanner import (
 )
 
 INF = math.inf
-
-
-def _subgraph_adj(g: WeightedGraph, edge_ids: Iterable[int] | None) -> list[list[tuple[int, float]]]:
-    eids = range(g.m) if edge_ids is None else edge_ids
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
-    for eid in eids:
-        u, v, w = g.edges[eid]
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    return adj
 
 
 def _dijkstra_on(adj: list[list[tuple[int, float]]], source: int) -> list[float]:
@@ -64,21 +57,57 @@ def _dijkstra_on(adj: list[list[tuple[int, float]]], source: int) -> list[float]
     return dist
 
 
+def _bfs_on(nbrs: list[list[int]], source: int) -> list[float]:
+    """Unit-weight distances by levels; the same floats as _dijkstra_on,
+    because every sum of 1.0s below 2**53 is exact."""
+    dist = [INF] * len(nbrs)
+    dist[source] = 0.0
+    frontier = [source]
+    level = 0.0
+    while frontier:
+        level += 1.0
+        reached = []
+        for x in frontier:
+            for y in nbrs[x]:
+                if dist[y] == INF:
+                    dist[y] = level
+                    reached.append(y)
+        frontier = reached
+    return dist
+
+
+def _shortest_paths(g: WeightedGraph, edge_ids: Iterable[int] | None) -> Callable[[int], list[float]]:
+    """Exact single-source distances on the subgraph on edge_ids.
+
+    BFS when every edge weighs exactly 1.0; heap Dijkstra otherwise.
+    Other equal weights keep Dijkstra: its running sums (0.1 + 0.1 + ...)
+    are not level * w.
+    """
+    eids = edge_id_list(g, edge_ids)
+    edges = g.edges
+    if all(edges[eid][2] == 1.0 for eid in eids):
+        nbrs = neighbour_lists(g, eids)
+        return lambda source: _bfs_on(nbrs, source)
+    adj = neighbour_lists(g, eids, weighted=True)
+    return lambda source: _dijkstra_on(adj, source)
+
+
 def dijkstra(g: WeightedGraph, source: int, edge_ids: Iterable[int] | None = None) -> list[float]:
-    """Exact single-source distances; unreachable vertices get +inf.
+    """Exact single-source distances by heap Dijkstra on any weights;
+    unreachable vertices get +inf.
 
     With edge_ids, distances are computed on that subgraph only.
     """
     if not (0 <= source < g.n):
         raise DomainError(f"source {source} out of range")
-    return _dijkstra_on(_subgraph_adj(g, edge_ids), source)
+    return _dijkstra_on(neighbour_lists(g, edge_ids, weighted=True), source)
 
 
 def bellman_ford(g: WeightedGraph, source: int, edge_ids: Iterable[int] | None = None) -> list[float]:
     """Independent re-computation of single-source distances by relaxation."""
     if not (0 <= source < g.n):
         raise DomainError(f"source {source} out of range")
-    eids = list(range(g.m)) if edge_ids is None else list(edge_ids)
+    eids = edge_id_list(g, edge_ids)
     dist = [INF] * g.n
     dist[source] = 0.0
     for _ in range(max(1, g.n - 1)):
@@ -139,17 +168,14 @@ class StretchAudit:
 def audit_stretch(g: WeightedGraph, spanner_edges: Iterable[int], bound: float) -> StretchAudit:
     """Check d_spanner(u, v) <= bound * w for every original edge (u, v, w).
 
-    Distances are measured by Dijkstra on the spanner subgraph, one run
-    per distinct source endpoint of a non-spanner edge; each run's ratios
-    are taken before the next run starts, so one distance list is held at
-    a time.  Unreachable endpoints fail with an infinite ratio (a spanner
+    Distances are exact on the spanner subgraph (BFS when every spanner
+    edge weighs 1.0, Dijkstra otherwise), one run per distinct source
+    endpoint of a non-spanner edge; each run's ratios are taken before the
+    next run starts, so one distance list is held at a time.  Unreachable endpoints fail with an infinite ratio (a spanner
     must preserve connectivity).
     """
     spanner = set(spanner_edges)
-    for eid in spanner:
-        if not (0 <= eid < g.m):
-            raise DomainError(f"spanner edge id {eid} not in graph")
-
+    distances = _shortest_paths(g, spanner)
     ratios = [1.0] * g.m
     by_source: dict[int, list[int]] = {}
     for eid in range(g.m):
@@ -157,9 +183,8 @@ def audit_stretch(g: WeightedGraph, spanner_edges: Iterable[int], bound: float) 
             u, _, _ = g.edges[eid]
             by_source.setdefault(u, []).append(eid)
 
-    adj = _subgraph_adj(g, spanner)
     for src, eids in by_source.items():
-        dist = _dijkstra_on(adj, src)
+        dist = distances(src)
         for eid in eids:
             _, v, w = g.edges[eid]
             d = dist[v]

@@ -12,7 +12,6 @@ from spanforge import (
     DomainError,
     apsp_experiment,
     apsp_matrix,
-    apsp_on_spanner,
     audit_stretch,
     build_graph,
     gen_gnp,
@@ -25,14 +24,14 @@ from spanforge import (
 def test_full_spanner_equals_exact():
     g = gen_gnp(40, 0.2, ("uniform", 1, 9), 3)
     exact = apsp_matrix(g)
-    approx = apsp_on_spanner(g, range(g.m))
+    approx = apsp_matrix(g, range(g.m))
     assert np.array_equal(exact, approx)
 
 
 def test_empty_spanner_all_infinite():
     g = gen_gnp(10, 0.5, "unit", 1)
     assert g.m > 0
-    approx = apsp_on_spanner(g, [])
+    approx = apsp_matrix(g, [])
     off_diag = approx[~np.eye(10, dtype=bool)]
     assert np.all(np.isinf(off_diag))
     assert np.all(np.diag(approx) == 0)
@@ -42,7 +41,7 @@ def test_spanner_distances_dominate_and_bound():
     g = gen_gnp(150, 0.1, ("uniform", 1, 9), 13)
     build = general_spanner(g, 3, 1, 13)
     exact = apsp_matrix(g)
-    approx = apsp_on_spanner(g, build.spanner_edges)
+    approx = apsp_matrix(g, build.spanner_edges)
     assert np.all(approx >= exact - 1e-12)
     bound = 2 * 3 ** stretch_exponent(1)
     finite = np.isfinite(exact) & (exact > 0)
