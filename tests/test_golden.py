@@ -51,6 +51,8 @@ GRAPHS = {
     "cycle-8": lambda: gen_cycle(8),
     "complete-7": lambda: gen_complete(7),
     "star-8": lambda: gen_star(8),
+    "gnp-600": lambda: gen_gnp(600, 0.05, ("uniform", 1, 10), seed=3),
+    "grid-40": lambda: gen_grid(40, 40),
 }
 SMALL_FAMILY = ("path-9", "cycle-8", "complete-7", "star-8")
 
@@ -129,6 +131,10 @@ def _cases() -> dict[str, Callable[[], str]]:
     add_build("gnp-w", "general", 1, 2)
     add_build("grid", "general", 5, 2)
     add_build("grid", "twophase", 1)
+    add_build("gnp-600", "general", 8, 2)
+    add_build("gnp-600", "merge", 4)
+    add_build("gnp-600", "bs", 3, 3)
+    add_build("grid-40", "twophase", 9)
     for graph in SMALL_FAMILY:
         add_build(graph, "bs", 3, 3, seed=1)
         add_build(graph, "merge", 4, seed=2)

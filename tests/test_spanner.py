@@ -23,6 +23,7 @@ from spanforge import (
 )
 from spanforge.spanner import (
     RULE_JOIN,
+    RULE_SETTLE,
     SpannerBuild,
     _completion_sweep,
     _EdgeLedger,
@@ -280,6 +281,34 @@ def test_join_tie_goes_to_the_first_edge_in_live(live, winner, host, discarded):
     # other cluster are no lighter, so they stay live.
     assert ledger.discards == {e: (1, 1, RULE_JOIN) for e in discarded}
     assert survivors == [e for e in live if e != winner and e not in discarded]
+
+
+@pytest.mark.parametrize("joiner, settler", [(0, 1), (1, 0)])
+def test_edge_discarded_from_both_ends_keeps_the_smaller_nodes_rule(joiner, settler):
+    # The joiner j has a join edge into the sampled cluster {h} and a lighter
+    # edge into the settler's cluster {s, z}; the settler s has no sampled
+    # neighbour and a lighter edge into the joiner's cluster {j, q}.  So both
+    # ends supersede the heavy edge (j, s): j by the join rule, s by the
+    # settle rule, and the smaller node id's rule is recorded.
+    j, s, z, q, h = joiner, settler, 2, 3, 4
+    g = build_graph(5, [(j, s, 5.0), (j, z, 1.0), (s, q, 1.0), (j, h, 3.0), (j, q, 1.0), (s, z, 1.0)])
+    heavy, join_edge = 0, 3
+    cluster_of = [None] * 5
+    parent = [None] * 5
+    depth_of = [0] * 5
+    for root, member, tree_edge in ((j, q, 4), (s, z, 5)):
+        cluster_of[root] = cluster_of[member] = root
+        parent[member], depth_of[member] = (root, tree_edge), 1
+    cluster_of[h] = h
+    d = Clustering(5, cluster_of, {j: j, s: s, h: h}, parent, depth_of)
+    d.validate()
+    ledger = _EdgeLedger(g)
+    d_next, survivors, _ = _run_iteration(g, ledger, list(range(5)), d, {h}, [0, 1, 2, 3], 1, 1, "")
+    assert d_next.parent[j] == (h, join_edge)
+    assert ledger.state[heavy] == SpannerBuild.OUT
+    assert ledger.discards == {heavy: (1, 1, RULE_JOIN if j < s else RULE_SETTLE)}
+    assert [ledger.state[e] for e in (1, 2, 3)] == [SpannerBuild.IN] * 3
+    assert survivors == []
 
 
 def test_completion_sweep_skips_edges_an_earlier_node_kept():
