@@ -6,6 +6,7 @@ from .graph import (
     WeightedGraph,
     build_graph,
     component_labels,
+    edge_arrays,
     gen_complete,
     gen_cycle,
     gen_gnp,

@@ -162,10 +162,13 @@ def _finite_bound(text: str) -> float:
 def cmd_audit(args) -> int:
     try:
         g = load_edge_list(args.input)
-        spanner_graph = load_edge_list(args.spanner)
+        spanner_graph = load_edge_list(args.spanner, n=g.n)
     except (DomainError, EdgeListError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if spanner_graph.n != g.n:
+        print(f"error: spanner has {spanner_graph.n} vertices, input has {g.n}", file=sys.stderr)
+        return 2
 
     index = {(u, v): eid for eid, (u, v, _) in enumerate(g.edges)}
     spanner_ids = []

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .graph import DomainError, WeightedGraph
+import numpy as np
+
+from .graph import DomainError, EdgeArrays, WeightedGraph, sort_pairs
 
 
 @dataclass
@@ -38,13 +40,6 @@ class Clustering:
 
     def clusters(self) -> list[int]:
         return sorted(self.center_of)
-
-    def active_count(self) -> int:
-        return sum(1 for c in self.cluster_of if c is not None)
-
-    def max_depth(self) -> int:
-        depths = [d for d in self.depth_of if d is not None]
-        return max(depths, default=0)
 
     def validate(self) -> None:
         """Tree consistency: parent walks reach the recorded center in
@@ -177,49 +172,42 @@ def grow_clusters(
 def contract(
     base: WeightedGraph | QuotientGraph,
     clustering: Clustering,
-    surviving_edges: Iterable[int],
-    g: WeightedGraph,
+    surviving_edges: Sequence[int] | np.ndarray,
+    edges: EdgeArrays,
 ) -> tuple[QuotientGraph, list[int]]:
     """Contract each cluster to a super-node, keeping one edge per pair.
 
-    ``surviving_edges`` are original edge ids whose endpoints must lie in
-    distinct clusters of ``clustering`` (an edge inside a cluster is a
-    contract violation).  Per unordered super-node pair exactly the
-    minimum-weight edge is kept, ties broken by smaller edge id.  Returns
-    the quotient and the sorted dropped duplicates, so the caller can mark
-    them discarded; the kept edges are the surviving ones not dropped.
+    ``surviving_edges`` are original edge ids, read from ``edges``, whose
+    endpoints must lie in distinct clusters of ``clustering`` (an edge
+    inside a cluster is a contract violation).  Per unordered super-node
+    pair exactly the minimum-weight edge is kept, ties broken by smaller
+    edge id.  Returns the quotient and the sorted dropped duplicates, so the
+    caller can mark them discarded; the kept edges are the surviving ones
+    not dropped.
     """
-    prev = identity_quotient(g) if isinstance(base, WeightedGraph) else base
+    prev = identity_quotient(base) if isinstance(base, WeightedGraph) else base
     cids = clustering.clusters()
     idmap = {cid: i for i, cid in enumerate(cids)}
 
-    super_of: list[int | None] = [None] * g.n
-    for v in range(g.n):
-        s = prev.super_of[v]
-        if s is None:
-            continue
-        cid = clustering.cluster_of[s]
-        if cid is not None:
-            super_of[v] = idmap[cid]
+    super_of: list[int | None] = []
+    for s in prev.super_of:
+        cid = None if s is None else clustering.cluster_of[s]
+        super_of.append(None if cid is None else idmap[cid])
 
-    best: dict[tuple[int, int], tuple[float, int]] = {}
-    dropped: list[int] = []
-    for eid in surviving_edges:
-        u, v, w = g.edges[eid]
-        a, b = super_of[u], super_of[v]
-        if a is None or b is None or a == b:
-            raise ValueError(f"surviving edge {eid} does not cross two clusters")
-        key = (a, b) if a < b else (b, a)
-        cur = best.get(key)
-        if cur is None or (w, eid) < cur:
-            if cur is not None:
-                dropped.append(cur[1])
-            best[key] = (w, eid)
-        else:
-            dropped.append(eid)
-
-    dropped.sort()
-    return QuotientGraph(len(cids), super_of), dropped
+    eids = np.asarray(surviving_edges, np.intp)
+    sup = np.array([-1 if s is None else s for s in super_of], np.int64)
+    a, b = sup[edges.u[eids]], sup[edges.v[eids]]
+    bad = (a < 0) | (b < 0) | (a == b)
+    if bad.any():
+        raise ValueError(f"surviving edge {eids[bad.argmax()]} does not cross two clusters")
+    # Sorted by super-node pair, then (w, edge id): all but a pair's first edge drop.
+    by_weight = np.argsort(eids)
+    by_weight = by_weight[np.argsort(edges.w[eids[by_weight]], kind="stable")]
+    pair = np.minimum(a, b)[by_weight] * len(cids) + np.maximum(a, b)[by_weight]
+    rank = np.arange(len(eids))
+    sort_pairs(pair, rank, max(len(eids), 1))
+    repeat = rank[1:][pair[1:] == pair[:-1]]
+    return QuotientGraph(len(cids), super_of), np.sort(eids[by_weight[repeat]]).tolist()
 
 
 def compose(

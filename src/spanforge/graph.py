@@ -9,7 +9,8 @@ Edge-list text format:
     u v w            one edge per line; '#' starts a comment
 
 Without a header, vertex ids may be arbitrary integers and are remapped to
-0..n-1 in sorted order.  With a header, ids must already lie in [0, n).
+0..n-1 in sorted order, unless the caller gives n.  With a header, or with
+n given, ids must already lie in [0, n).
 Self-loops are dropped and parallel edges collapse to the single
 minimum-weight edge, so loading is idempotent.
 """
@@ -19,8 +20,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 
 # Largest vertex count taken from outside input: an edge-list header or a
@@ -111,6 +115,43 @@ def build_graph(n: int, raw_edges: Iterable[tuple[int, int, float]]) -> Weighted
     return WeightedGraph(n=n, edges=edges)
 
 
+class EdgeArrays(NamedTuple):
+    """A graph's edges as columns indexed by edge id: endpoints u < v
+    (int32) and weights w (float64)."""
+
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+
+
+def edge_arrays(g: WeightedGraph) -> EdgeArrays:
+    """Column view of g.edges, built once per construction."""
+    m = g.m
+    return EdgeArrays(
+        np.fromiter(map(itemgetter(0), g.edges), np.int32, m),
+        np.fromiter(map(itemgetter(1), g.edges), np.int32, m),
+        np.fromiter(map(itemgetter(2), g.edges), np.float64, m),
+    )
+
+
+def sort_pairs(major: np.ndarray, minor: np.ndarray, bound: int) -> None:
+    """Sort the pairs (major[i], minor[i]) in place, ascending.
+
+    Both are int64 arrays with major >= 0 and 0 <= minor < bound.  While
+    every pair packs into one int64 as major * bound + minor, one plain sort
+    of the packed values does it, with no index array.
+    """
+    if len(major) and (int(major.max()) + 1) * bound > 2**63:
+        order = np.lexsort((minor, major))
+        major[:], minor[:] = major[order], minor[order]
+        return
+    major *= bound
+    major += minor
+    major.sort()
+    np.remainder(major, bound, out=minor)
+    major //= bound
+
+
 def edge_id_list(g: WeightedGraph, edge_ids: Iterable[int] | None = None) -> Sequence[int]:
     """edge_ids as a sequence in their given order (all edges when None).
 
@@ -170,11 +211,16 @@ def component_labels(g: WeightedGraph, edge_ids: Iterable[int] | None = None) ->
 # ----------------------------- file I/O ------------------------------------
 
 
-def load_edge_list(source: str | Path | IO[str]) -> WeightedGraph:
-    """Parse an edge-list text stream or file path into a WeightedGraph."""
+def load_edge_list(source: str | Path | IO[str], n: int | None = None) -> WeightedGraph:
+    """Parse an edge-list text stream or file path into a WeightedGraph.
+
+    n stands in for a missing header, so the ids of a file that has none
+    are read as given and checked against [0, n) instead of remapped.  A
+    header, when present, still sets the vertex count.
+    """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
-            return load_edge_list(fh)
+            return load_edge_list(fh, n)
 
     header_n: int | None = None
     header_line = 0
@@ -208,6 +254,8 @@ def load_edge_list(source: str | Path | IO[str]) -> WeightedGraph:
             raise DomainError(f"line {lineno}: negative weight {w}")
         triples.append((u, v, w))
 
+    if header_n is None:
+        header_n = n
     if header_n is not None:
         if not 1 <= header_n <= MAX_VERTICES:
             raise EdgeListError(
@@ -216,7 +264,7 @@ def load_edge_list(source: str | Path | IO[str]) -> WeightedGraph:
         for u, v, _ in triples:
             if not (0 <= u < header_n and 0 <= v < header_n):
                 raise EdgeListError(
-                    f"vertex id out of header range [0,{header_n}) in edge ({u},{v})"
+                    f"vertex id out of range [0,{header_n}) in edge ({u},{v})"
                 )
         return build_graph(header_n, triples)
 

@@ -28,6 +28,8 @@ import random
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .clustering import (
     Clustering,
     QuotientGraph,
@@ -40,7 +42,7 @@ from .clustering import (
     sample_clusters,
     singleton_clustering,
 )
-from .graph import DomainError, WeightedGraph
+from .graph import DomainError, EdgeArrays, WeightedGraph, edge_arrays, sort_pairs
 
 # Disposition rule tags for discarded edges.
 RULE_JOIN = "join"                 # superseded while joining a sampled neighbor
@@ -49,6 +51,10 @@ RULE_INTRA = "intra-cluster"       # became internal to a grown cluster
 RULE_DEDUP = "contract-dedup"      # lost the per-super-pair minimum at contraction
 RULE_COMPLETION = "completion"     # superseded in the final completion sweep
 STAGE2 = "stage2-"                 # prefix of every twophase stage-two rule
+# Every rule a ledger can record; an edge's rule code indexes this tuple.
+RULES = (RULE_JOIN, RULE_SETTLE, RULE_INTRA, RULE_DEDUP, RULE_COMPLETION) + tuple(
+    STAGE2 + rule for rule in (RULE_JOIN, RULE_SETTLE, RULE_INTRA, RULE_COMPLETION)
+)
 
 
 @dataclass(frozen=True)
@@ -174,32 +180,28 @@ class SpannerBuild:
     phase2_discarded: int
     final_clustering: Clustering
     radius_checks: list[RadiusCertificate] | None
-    _state: bytearray
-    _discards: dict[int, tuple[int, int | None, str]]
+    _ledger: _EdgeLedger
 
     LIVE, IN, OUT = 0, 1, 2
 
     def disposition(self, eid: int):
-        s = self._state[eid]
+        ledger = self._ledger
+        s = ledger.state[eid]
         if s == self.IN:
             return ("in_spanner",)
         if s == self.OUT:
-            epoch, iteration, rule = self._discards[eid]
-            return ("discarded", epoch, iteration, rule)
+            iteration = int(ledger.iteration[eid]) or None
+            return ("discarded", int(ledger.epoch[eid]), iteration, RULES[ledger.rule[eid]])
         return ("unprocessed",)
 
     @property
     def size(self) -> int:
         return len(self.spanner_edges)
 
-    def spanner_set(self) -> set[int]:
-        return set(self.spanner_edges)
-
     def discard_histogram(self) -> dict[str, int]:
-        hist: dict[str, int] = {}
-        for _, _, rule in self._discards.values():
-            hist[rule] = hist.get(rule, 0) + 1
-        return hist
+        out = self._ledger.state == self.OUT
+        counts = np.bincount(self._ledger.rule[out], minlength=len(RULES))
+        return {rule: int(c) for rule, c in zip(RULES, counts) if c}
 
     def as_dict(self) -> dict:
         return {
@@ -210,7 +212,7 @@ class SpannerBuild:
             "dispositions": {
                 "in_spanner": self.size,
                 "discarded": self.discard_histogram(),
-                "unprocessed": sum(1 for s in self._state if s == self.LIVE),
+                "unprocessed": int(np.count_nonzero(self._ledger.state == self.LIVE)),
             },
             "epochs": [ep.as_dict() for ep in self.epochs],
             "phase2": {"added": self.phase2_added, "discarded": self.phase2_discarded},
@@ -232,175 +234,198 @@ class SpannerBuild:
 
 
 class _EdgeLedger:
-    """Tracks each edge's fate while an algorithm runs."""
+    """Each edge's fate while an algorithm runs: its state and, once
+    discarded, the epoch, iteration (0 for none) and rule code."""
 
-    def __init__(self, g: WeightedGraph):
-        self.state = bytearray(g.m)  # SpannerBuild.LIVE
-        self.discards: dict[int, tuple[int, int | None, str]] = {}
-        self.added = 0
+    def __init__(self, m: int):
+        self.state = np.zeros(m, np.uint8)  # SpannerBuild.LIVE
+        self.epoch = np.zeros(m, np.int32)
+        self.iteration = np.zeros(m, np.int32)
+        self.rule = np.zeros(m, np.uint8)
 
-    def is_live(self, eid: int) -> bool:
-        return self.state[eid] == SpannerBuild.LIVE
+    def add(self, eids: np.ndarray) -> None:
+        """Put the live edges among eids into the spanner."""
+        self.state[eids[self.state[eids] == SpannerBuild.LIVE]] = SpannerBuild.IN
 
-    def add(self, eid: int) -> None:
-        if self.state[eid] == SpannerBuild.LIVE:
-            self.state[eid] = SpannerBuild.IN
-            self.added += 1
+    def discard(
+        self, eids: np.ndarray, epoch: int, iteration: int, rule: int | np.ndarray
+    ) -> None:
+        """Discard the live edges among eids with a rule code, or one code
+        per eid; an edge listed twice takes the code of its first listing."""
+        eids, first = np.unique(eids, return_index=True)
+        live = self.state[eids] == SpannerBuild.LIVE
+        eids = eids[live]
+        self.state[eids] = SpannerBuild.OUT
+        self.epoch[eids] = epoch
+        self.iteration[eids] = iteration
+        self.rule[eids] = rule if np.isscalar(rule) else rule[first[live]]
 
-    def discard(self, eid: int, epoch: int, iteration: int | None, rule: str) -> None:
-        if self.state[eid] == SpannerBuild.LIVE:
-            self.state[eid] = SpannerBuild.OUT
-            self.discards[eid] = (epoch, iteration, rule)
-
-    def counts(self) -> tuple[int, int]:
-        return self.added, len(self.discards)
-
-
-def _incident(
-    g: WeightedGraph, node_of: Sequence[int | None], live: list[int]
-) -> dict[int, list[int]]:
-    """Each node's live edges (node_of[v] for a vertex v), in live order."""
-    incident: dict[int, list[int]] = {}
-    for eid in live:
-        u, v, _ = g.edges[eid]
-        incident.setdefault(node_of[u], []).append(eid)
-        incident.setdefault(node_of[v], []).append(eid)
-    return incident
+    def decided(self, eids: np.ndarray) -> tuple[int, int]:
+        """How many of eids are in the spanner and how many are discarded."""
+        state = self.state[eids]
+        return (
+            int(np.count_nonzero(state == SpannerBuild.IN)),
+            int(np.count_nonzero(state == SpannerBuild.OUT)),
+        )
 
 
-def _lightest_by_cluster(
-    g: WeightedGraph, x: int, eids: list[int], node_of: Sequence[int | None],
-    cluster_of: list[int | None],
-) -> tuple[list[int], dict[int, int]]:
-    """For node x's edges eids: the cluster at each edge's far end, and x's
-    lightest edge into each such cluster.  Ties go to the edge that comes
-    first in eids."""
-    far: list[int] = []
-    best: dict[int, int] = {}
-    for eid in eids:
-        a, b, w = g.edges[eid]
-        c = cluster_of[node_of[b] if node_of[a] == x else node_of[a]]
-        if c is None:
-            raise RuntimeError(f"live edge {eid} has an endpoint outside the clustering")
-        far.append(c)
-        e1 = best.get(c)
-        if e1 is None or w < g.edges[e1][2]:
-            best[c] = eid
-    return far, best
+def _node_ids(values: Sequence[int | None]) -> np.ndarray:
+    """values as int32 with -1 for None, plus a trailing -1 so that an
+    index of -1 (a node outside the map) also reads -1."""
+    return np.array([-1 if x is None else x for x in values] + [-1], np.int32)
+
+
+def _check_weight_order(edges: EdgeArrays, live: np.ndarray) -> None:
+    """The engine breaks weight ties by position in live, which therefore
+    lists the live edges by weight."""
+    w = edges.w[live]
+    if np.any(w[1:] < w[:-1]):
+        raise RuntimeError("live edges are not sorted by weight")
+
+
+def _group_starts(key: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a sorted key column where a new value starts."""
+    starts = np.ones(len(key), bool)
+    np.not_equal(key[1:], key[:-1], out=starts[1:])
+    return starts
 
 
 def _run_iteration(
-    g: WeightedGraph,
+    edges: EdgeArrays,
     ledger: _EdgeLedger,
-    super_of: list[int | None],
+    super_of: np.ndarray,
     d: Clustering,
     sampled: set[int],
-    live: list[int],
+    live: np.ndarray,
     epoch: int,
     iteration: int,
     prefix: str,
-) -> tuple[Clustering, list[int], IterationTrace]:
+) -> tuple[Clustering, np.ndarray, IterationTrace]:
     """One sample/join/settle/grow/prune step on the current quotient.
 
-    Super-nodes are visited in ascending id; weight ties go to the edge
-    that comes first in live.  prefix is put before every discard rule."""
-    added0, disc0 = ledger.counts()
-    attach: dict[int, tuple[int, int]] = {}
-    pending: list[tuple[int, str]] = []
+    live lists the live edges by weight, ties in the order that breaks
+    them.  Each live edge gives an arc from each end node (super_of of a
+    vertex) to the cluster at the other end.  The arcs of nodes outside the
+    sampled clusters are sorted once by (node, far cluster, live position),
+    which is (node, far cluster, weight, live position); the first arc of
+    each (node, cluster) group is the node's lightest edge into that
+    cluster.  A node joins through the first of its groups in live order
+    that leads into a sampled cluster and keeps the groups strictly lighter
+    than it; a node with no sampled neighbour settles and keeps every group.
+    The other edges of kept groups are discarded after all adds, an edge
+    discarded from both ends taking the smaller node's rule.  prefix is put
+    before every discard rule."""
+    _check_weight_order(edges, live)
+    a, b = super_of[edges.u[live]], super_of[edges.v[live]]
+    cluster_of = _node_ids(d.cluster_of)
+    ca, cb = cluster_of[a], cluster_of[b]
+    if np.any((ca < 0) | (cb < 0) | (ca == cb)):
+        raise RuntimeError("a live edge lies inside one cluster or has an end outside any")
 
-    incident = _incident(g, super_of, live)
-    for s in sorted(incident):
-        eids = incident[s]
-        far, best = _lightest_by_cluster(g, s, eids, super_of, d.cluster_of)
-        cid = d.cluster_of[s]
-        if cid is None or cid in best:
-            raise RuntimeError(f"a live edge of node {s} lies inside its cluster or outside any")
-        if cid in sampled:
-            continue
-        joins = [eid for eid, c in zip(eids, far) if c in sampled]
-        if joins:
-            e0 = min(joins, key=g.weight)
-            w0 = g.weight(e0)
-            x, y = g.endpoints(e0)
-            attach[s] = (super_of[x] if super_of[x] != s else super_of[y], e0)
-            # Join e0's cluster; strictly cheaper neighbor clusters also keep one edge.
-            rule = prefix + RULE_JOIN
-            kept = {c for c, e1 in best.items() if e1 == e0 or g.weight(e1) < w0}
-        else:
-            rule = prefix + RULE_SETTLE
-            kept = best
-        for c in kept:
-            ledger.add(best[c])
-        pending.extend((eid, rule) for eid, c in zip(eids, far) if c in kept and eid != best[c])
+    # The arcs of nodes outside the sampled clusters as (group, live
+    # position) rows, group = node * n_ids + far cluster, sorted.
+    n_ids = len(cluster_of)
+    in_sampled = np.zeros(n_ids, bool)
+    in_sampled[list(sampled)] = True
+    from_a, from_b = ~in_sampled[ca], ~in_sampled[cb]
+    group = np.concatenate((a[from_a], b[from_b])).astype(np.int64)
+    group *= n_ids
+    group += np.concatenate((cb[from_a], ca[from_b]))
+    pos = np.concatenate((np.flatnonzero(from_a), np.flatnonzero(from_b)))
+    del ca, cb, from_a, from_b
+    sort_pairs(group, pos, max(len(live), 1))
 
-    for eid, rule in pending:
-        ledger.discard(eid, epoch, iteration, rule)
+    # Per row: its node, its live position and whether it leads into a
+    # sampled cluster, in int32.  A group's first row is its lightest edge.
+    first = _group_starts(group)
+    into_sampled = in_sampled[group % n_ids]
+    group //= n_ids
+    node, pos = group.astype(np.int32), pos.astype(np.int32)
+    del group
+    best_node, best_pos = node[first], pos[first]
+    best_w = edges.w[live[best_pos]]
 
+    # A joining node's join edge is its earliest best edge into a sampled
+    # cluster; it keeps that group and the groups strictly lighter.
+    best_into = into_sampled[first]
+    del into_sampled
+    join_pos = np.full(n_ids, len(live), np.int64)
+    np.minimum.at(join_pos, best_node[best_into], best_pos[best_into])
+    joiner = np.flatnonzero(join_pos < len(live))
+    join = best_pos == join_pos[best_node]
+    limit = np.full(n_ids, np.inf)
+    limit[joiner] = best_w[join]
+    kept = (best_w < limit[best_node]) | join
+    del best_into, best_w, join
+
+    ledger.add(live[best_pos[kept]])
+    superseded = np.repeat(kept, np.diff(np.flatnonzero(first), append=len(first)))
+    superseded &= ~first
+    joined = np.isfinite(limit[node[superseded]])
+    rule = np.where(joined, RULES.index(prefix + RULE_JOIN), RULES.index(prefix + RULE_SETTLE))
+    ledger.discard(live[pos[superseded]], epoch, iteration, rule.astype(np.uint8))
+    del node, pos, first, superseded
+
+    join_pos = join_pos[joiner]
+    hosts = a[join_pos] + b[join_pos] - joiner  # the join edge's other end
+    attach = dict(zip(joiner.tolist(), zip(hosts.tolist(), live[join_pos].tolist())))
     d_next = grow_clusters(d, sampled, attach)
 
-    intra = prefix + RULE_INTRA
-    survivors: list[int] = []
-    for eid in live:
-        if not ledger.is_live(eid):
-            continue
-        u, v, _ = g.edges[eid]
-        cu = d_next.cluster_of[super_of[u]]
-        cv = d_next.cluster_of[super_of[v]]
-        if cu is None or cv is None:
-            raise RuntimeError(f"live edge {eid} has an endpoint that left the clustering")
-        if cu == cv:
-            ledger.discard(eid, epoch, iteration, intra)
-        else:
-            survivors.append(eid)
+    cluster_of = _node_ids(d_next.cluster_of)
+    still = ledger.state[live] == SpannerBuild.LIVE
+    ca, cb = cluster_of[a[still]], cluster_of[b[still]]
+    if np.any((ca < 0) | (cb < 0)):
+        raise RuntimeError("a live edge has an endpoint that left the clustering")
+    inside = ca == cb
+    ledger.discard(live[still][inside], epoch, iteration, RULES.index(prefix + RULE_INTRA))
+    survivors = live[still][~inside]
 
-    added1, disc1 = ledger.counts()
+    added, discarded = ledger.decided(live)
     trace = IterationTrace(
         clusters_before=len(d.center_of),
         sampled=len(sampled),
-        added=added1 - added0,
-        discarded=disc1 - disc0,
+        added=added,
+        discarded=discarded,
     )
     return d_next, survivors, trace
 
 
 def _run_epoch(
-    g: WeightedGraph, ledger: _EdgeLedger, quotient: QuotientGraph, live: list[int],
+    edges: EdgeArrays, ledger: _EdgeLedger, quotient: QuotientGraph, live: np.ndarray,
     p: float, steps: int, rng: random.Random, epoch: int, prefix: str = "",
-) -> tuple[Clustering, list[int], list[IterationTrace]]:
+) -> tuple[Clustering, np.ndarray, list[IterationTrace]]:
     """Grow singleton clusters of the quotient's super-nodes for steps
     iterations at sampling probability p; returns the final clustering,
     the edges still live and the iteration traces."""
     if steps < 1:
         raise RuntimeError(f"epoch {epoch} ran no iteration")
+    super_of = _node_ids(quotient.super_of)
     d = singleton_clustering(quotient)
     iterations: list[IterationTrace] = []
     for j in range(1, steps + 1):
         sampled = sample_clusters(d, p, rng)
-        d, live, trace = _run_iteration(
-            g, ledger, quotient.super_of, d, sampled, live, epoch, j, prefix
-        )
+        d, live, trace = _run_iteration(edges, ledger, super_of, d, sampled, live, epoch, j, prefix)
         iterations.append(trace)
     return d, live, iterations
 
 
 def _contract(
-    g: WeightedGraph, ledger: _EdgeLedger, quotient: QuotientGraph, d: Clustering,
-    live: list[int], epoch: int, iteration: int,
-) -> tuple[QuotientGraph, list[int], int]:
+    edges: EdgeArrays, ledger: _EdgeLedger, quotient: QuotientGraph, d: Clustering,
+    live: np.ndarray, epoch: int, iteration: int,
+) -> tuple[QuotientGraph, np.ndarray, int]:
     """Contract d's clusters and discard the duplicate edges contract drops;
     returns the new quotient, the edges still live and the drop count."""
-    quotient, dropped = contract(quotient, d, live, g)
-    for eid in dropped:
-        ledger.discard(eid, epoch, iteration, RULE_DEDUP)
-    return quotient, [e for e in live if ledger.is_live(e)], len(dropped)
+    quotient, dropped = contract(quotient, d, live, edges)
+    ledger.discard(np.array(dropped, np.intp), epoch, iteration, RULES.index(RULE_DEDUP))
+    return quotient, live[ledger.state[live] == SpannerBuild.LIVE], len(dropped)
 
 
 def _completion_sweep(
-    g: WeightedGraph,
+    edges: EdgeArrays,
     ledger: _EdgeLedger,
     final: Clustering,
-    node_of: Sequence[int | None],
-    live: list[int],
+    node_of: np.ndarray,
+    live: np.ndarray,
     epoch: int,
     rule: str,
 ) -> tuple[int, int]:
@@ -409,21 +434,26 @@ def _completion_sweep(
     rest are superseded.
 
     Nodes are visited in ascending id, each skipping the edges an earlier
-    node already decided, and weight ties go to the edge that comes first
-    in live, so the sweep is deterministic.
+    node already decided, so each edge belongs to its smaller end node.
+    live lists the edges by weight, so sorting them stably by (that node,
+    the cluster at the other end) orders each group by (weight, live
+    position), and the first of each group is kept.
     """
-    added0, disc0 = ledger.counts()
-    incident = _incident(g, node_of, live)
-    for x in sorted(incident):
-        eids = [eid for eid in incident[x] if ledger.is_live(eid)]
-        far, best = _lightest_by_cluster(g, x, eids, node_of, final.cluster_of)
-        for eid, c in zip(eids, far):
-            if eid == best[c]:
-                ledger.add(eid)
-            else:
-                ledger.discard(eid, epoch, None, rule)
-    added1, disc1 = ledger.counts()
-    return added1 - added0, disc1 - disc0
+    _check_weight_order(edges, live)
+    a, b = node_of[edges.u[live]], node_of[edges.v[live]]
+    cluster_of = _node_ids(final.cluster_of)
+    group = np.minimum(a, b).astype(np.int64)
+    far = cluster_of[np.maximum(a, b)]
+    if np.any((group < 0) | (far < 0)):
+        raise RuntimeError("a live edge has an endpoint outside the clustering")
+    group *= len(cluster_of)
+    group += far
+    pos = np.arange(len(live))
+    sort_pairs(group, pos, max(len(live), 1))
+    first = _group_starts(group)
+    ledger.add(live[pos[first]])
+    ledger.discard(live[pos[~first]], epoch, 0, RULES.index(rule))
+    return ledger.decided(live)
 
 
 def _finish(
@@ -437,23 +467,21 @@ def _finish(
     final: Clustering,
     certs: list[RadiusCertificate] | None,
 ) -> SpannerBuild:
-    if SpannerBuild.LIVE in ledger.state:
+    if np.any(ledger.state == SpannerBuild.LIVE):
         raise RuntimeError("unprocessed edges remain")
-    spanner = sorted(e for e in range(g.m) if ledger.state[e] == SpannerBuild.IN)
     return SpannerBuild(
         n=g.n,
         m=g.m,
         k=k,
         t=t,
         seed=seed,
-        spanner_edges=spanner,
+        spanner_edges=np.flatnonzero(ledger.state == SpannerBuild.IN).tolist(),
         epochs=epochs,
         phase2_added=phase2[0],
         phase2_discarded=phase2[1],
         final_clustering=final,
         radius_checks=certs,
-        _state=ledger.state,
-        _discards=ledger.discards,
+        _ledger=ledger,
     )
 
 
@@ -461,9 +489,8 @@ def _take_all(
     g: WeightedGraph, k: int, t: int, seed: int, radius_checks: bool = False
 ) -> SpannerBuild:
     """Stretch-1 output: the spanner is the whole graph."""
-    ledger = _EdgeLedger(g)
-    for eid in range(g.m):
-        ledger.add(eid)
+    ledger = _EdgeLedger(g.m)
+    ledger.add(np.arange(g.m))
     certs: list[RadiusCertificate] | None = [] if radius_checks else None
     return _finish(g, ledger, k, t, seed, [], (0, 0), singleton_clustering(g), certs)
 
@@ -494,10 +521,12 @@ def general_spanner(
         return _take_all(g, k, t, seed, radius_checks)
 
     rng = random.Random(seed)
-    ledger = _EdgeLedger(g)
+    edges = edge_arrays(g)
+    ledger = _EdgeLedger(g.m)
     quotient = identity_quotient(g)
     composed = singleton_clustering(g)
-    live = list(range(g.m))
+    # Weight order, ties by edge id; every later step keeps this order.
+    live = np.argsort(edges.w, kind="stable")
     epochs: list[EpochTrace] = []
     certs: list[RadiusCertificate] | None = [] if radius_checks else None
 
@@ -510,19 +539,21 @@ def general_spanner(
         steps = 0
         while steps < t and spent < k - 1:
             steps, spent = steps + 1, spent + power
-        d, live, iterations = _run_epoch(g, ledger, quotient, live, p, steps, rng, i)
+        d, live, iterations = _run_epoch(edges, ledger, quotient, live, p, steps, rng, i)
 
         composed = compose(d, composed, quotient, g)
         if certs is not None:
             bound = ((2 * t + 1) ** i - 1) // 2
-            certs.append(check_radius(g, composed, live, bound))
+            certs.append(check_radius(g, composed, live.tolist(), bound))
 
         dedup = 0
         if i < last_epoch:
-            quotient, live, dedup = _contract(g, ledger, quotient, d, live, i, steps)
+            quotient, live, dedup = _contract(edges, ledger, quotient, d, live, i, steps)
         epochs.append(EpochTrace(i, p, iterations, len(d.center_of), dedup))
 
-    phase2 = _completion_sweep(g, ledger, composed, range(g.n), live, last_epoch, RULE_COMPLETION)
+    phase2 = _completion_sweep(
+        edges, ledger, composed, np.arange(g.n), live, last_epoch, RULE_COMPLETION
+    )
     return _finish(g, ledger, k, t, seed, epochs, phase2, composed, certs)
 
 
@@ -551,7 +582,8 @@ def two_phase_spanner(g: WeightedGraph, k: int, seed: int) -> SpannerBuild:
     its discard rules prefixed "stage2-".  Hop stretch is at most
     2t + (2t+1)(2t-1) + 2t.
     """
-    if any(w != 1.0 for _, _, w in g.edges):
+    edges = edge_arrays(g)
+    if np.any(edges.w != 1.0):
         raise DomainError("two-phase spanner requires an unweighted graph (unit weights)")
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
@@ -560,25 +592,26 @@ def two_phase_spanner(g: WeightedGraph, k: int, seed: int) -> SpannerBuild:
 
     t = _ceil_sqrt(k)
     rng = random.Random(seed)
-    ledger = _EdgeLedger(g)
+    ledger = _EdgeLedger(g.m)
     quotient = identity_quotient(g)
-    live = list(range(g.m))
+    live = np.arange(g.m)  # unit weights, so already in weight order
     p = min(1.0, g.n ** (-1.0 / k))
-    d, live, iterations = _run_epoch(g, ledger, quotient, live, p, t, rng, 1)
+    d, live, iterations = _run_epoch(edges, ledger, quotient, live, p, t, rng, 1)
     composed = compose(d, singleton_clustering(g), quotient, g)
-    quotient, live, dedup = _contract(g, ledger, quotient, d, live, 1, t)
+    quotient, live, dedup = _contract(edges, ledger, quotient, d, live, 1, t)
     epochs = [EpochTrace(1, p, iterations, len(d.center_of), dedup)]
-    if not live:
+    if not len(live):
         return _finish(g, ledger, k, t, seed, epochs, (0, 0), composed, None)
 
     # contract left one live edge per super-node pair.  Stage two lists
     # them by that pair, so unit-weight ties go to the smaller pair.
-    super_of = quotient.super_of
-    live.sort(key=lambda e: sorted((super_of[g.edges[e][0]], super_of[g.edges[e][1]])))
+    super_of = _node_ids(quotient.super_of)
+    a, b = super_of[edges.u[live]], super_of[edges.v[live]]
+    live = live[np.lexsort((np.maximum(a, b), np.minimum(a, b)))]
     p2 = min(1.0, quotient.super_count ** (-1.0 / t))
     rng2 = random.Random(rng.getrandbits(63))
-    d2, live, iterations = _run_epoch(g, ledger, quotient, live, p2, t - 1, rng2, 2, STAGE2)
+    d2, live, iterations = _run_epoch(edges, ledger, quotient, live, p2, t - 1, rng2, 2, STAGE2)
     epochs.append(EpochTrace(2, p2, iterations, len(d2.center_of)))
-    phase2 = _completion_sweep(g, ledger, d2, super_of, live, 2, STAGE2 + RULE_COMPLETION)
+    phase2 = _completion_sweep(edges, ledger, d2, super_of, live, 2, STAGE2 + RULE_COMPLETION)
     final = compose(d2, composed, quotient, g)
     return _finish(g, ledger, k, t, seed, epochs, phase2, final, None)

@@ -108,6 +108,30 @@ def test_audit_mismatched_spanner_exits_2(tmp_path):
     assert code == 2
 
 
+def test_audit_reads_headerless_spanner_ids_as_given(tmp_path):
+    # The spanner file holds the input's edge (2, 3) without a header.  Its
+    # ids must not be remapped to (0, 1), which is a different input edge.
+    graph_file, spanner_file = tmp_path / "g.txt", tmp_path / "s.txt"
+    graph_file.write_text("# 4 2\n0 1 1.0\n2 3 1.0\n")
+    spanner_file.write_text("2 3 1.0\n")
+    out = tmp_path / "audit.json"
+    code = run_cli(
+        ["audit", "--input", str(graph_file), "--spanner", str(spanner_file),
+         "--bound", "3", "--out", str(out)]
+    )
+    assert code == 1
+    assert [(f["edge"], f["u"], f["v"]) for f in read_json(out)["failing"]] == [(0, 0, 1)]
+
+
+def test_audit_spanner_header_n_differs_exits_2(tmp_path):
+    graph_file, spanner_file = tmp_path / "g.txt", tmp_path / "s.txt"
+    graph_file.write_text("# 4 2\n0 1 1.0\n2 3 1.0\n")
+    spanner_file.write_text("# 5 1\n2 3 1.0\n")
+    code = run_cli(["audit", "--input", str(graph_file), "--spanner", str(spanner_file),
+                    "--bound", "3"])
+    assert code == 2
+
+
 AUTO_BOUNDS = {
     "bs:5": 9,
     "merge:4": 18.0,

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -220,3 +221,22 @@ def test_validate_raises_under_python_O(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["edge 0 endpoints (1, 0) not 0 <= u < v < n", "root 1 not in own cluster"]
+
+
+def test_edge_arrays_match_edges():
+    g = gen_gnp(30, 0.3, ("uniform", 1, 9), seed=2)
+    u, v, w = spanforge.graph.edge_arrays(g)
+    assert (u.dtype, v.dtype, w.dtype) == (np.int32, np.int32, np.float64)
+    assert list(zip(u.tolist(), v.tolist(), w.tolist())) == g.edges
+
+
+@pytest.mark.parametrize("offset", [0, 2**62])
+def test_sort_pairs_orders_by_major_then_minor(offset):
+    # With the offset the packed values would overflow int64, so the sort
+    # takes its lexsort path; both must give the same order.
+    rng = np.random.default_rng(4)
+    major = rng.integers(0, 50, 300) + offset
+    minor = rng.integers(0, 7, 300)
+    expected = sorted(zip(major.tolist(), minor.tolist()))
+    spanforge.graph.sort_pairs(major, minor, 7)
+    assert list(zip(major.tolist(), minor.tolist())) == expected

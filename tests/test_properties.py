@@ -24,7 +24,7 @@ def small_graphs(draw, unit: bool):
 
 def _check_build(g, algo, k, t, seed):
     build = ALGORITHMS[algo](g, k, t, seed)
-    spanner = build.spanner_set()
+    spanner = set(build.spanner_edges)
 
     assert all(build.disposition(e)[0] != "unprocessed" for e in range(g.m))
     assert build.size + sum(build.discard_histogram().values()) == g.m

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from spanforge import (
@@ -21,9 +22,11 @@ from spanforge import (
     stretch_exponent,
     two_phase_spanner,
 )
+from spanforge.graph import edge_arrays
 from spanforge.spanner import (
     RULE_JOIN,
     RULE_SETTLE,
+    RULES,
     SpannerBuild,
     _completion_sweep,
     _EdgeLedger,
@@ -209,7 +212,7 @@ def test_dispositions_partition_edges():
 def test_tree_edges_of_final_clustering_are_spanner_edges():
     g = gen_gnp(150, 0.06, "unit", 8)
     build = general_spanner(g, 4, 2, 8)
-    spanner = build.spanner_set()
+    spanner = set(build.spanner_edges)
     fc = build.final_clustering
     fc.validate()
     for v in range(g.n):
@@ -259,7 +262,15 @@ def test_finish_rejects_unprocessed_edges():
     # A real exception, so the check survives python -O.
     g = gen_path(4)
     with pytest.raises(RuntimeError, match="unprocessed"):
-        _finish(g, _EdgeLedger(g), 2, 1, 0, [], (0, 0), singleton_clustering(g), None)
+        _finish(g, _EdgeLedger(g.m), 2, 1, 0, [], (0, 0), singleton_clustering(g), None)
+
+
+def _discards(ledger: _EdgeLedger) -> dict:
+    """The ledger's discarded edges as {eid: (epoch, iteration, rule)}."""
+    return {
+        int(e): (int(ledger.epoch[e]), int(ledger.iteration[e]) or None, RULES[ledger.rule[e]])
+        for e in np.flatnonzero(ledger.state == SpannerBuild.OUT)
+    }
 
 
 @pytest.mark.parametrize(
@@ -272,15 +283,38 @@ def test_join_tie_goes_to_the_first_edge_in_live(live, winner, host, discarded):
     g = build_graph(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (2, 3, 1.0)])
     d = Clustering(4, [0, 1, 2, 2], {0: 0, 1: 1, 2: 2}, [None, None, None, (2, 3)], [0, 0, 0, 1])
     d.validate()
-    ledger = _EdgeLedger(g)
-    d_next, survivors, _ = _run_iteration(g, ledger, [0, 1, 2, 3], d, {1, 2}, live, 1, 1, "")
+    ledger = _EdgeLedger(g.m)
+    d_next, survivors, _ = _run_iteration(
+        edge_arrays(g), ledger, np.arange(4), d, {1, 2}, np.array(live), 1, 1, ""
+    )
     assert d_next.cluster_of[0] == host
     assert d_next.parent[0] == (g.edges[winner][1], winner)
     assert ledger.state[winner] == SpannerBuild.IN
     # The other edge into the host cluster is superseded; edges into the
     # other cluster are no lighter, so they stay live.
-    assert ledger.discards == {e: (1, 1, RULE_JOIN) for e in discarded}
-    assert survivors == [e for e in live if e != winner and e not in discarded]
+    assert _discards(ledger) == {e: (1, 1, RULE_JOIN) for e in discarded}
+    assert survivors.tolist() == [e for e in live if e != winner and e not in discarded]
+
+
+@pytest.mark.parametrize(
+    "cluster_of, center_of, parent, depth_of",
+    [
+        # Edge 3 = (2, 3) lies inside the cluster {2, 3}.
+        ([0, 1, 2, 2], {0: 0, 1: 1, 2: 2}, [None, None, None, (2, 3)], [0, 0, 0, 1]),
+        # Node 3, on the live edges 2 and 3, is in no cluster.
+        ([0, 1, 2, None], {0: 0, 1: 1, 2: 2}, [None] * 4, [0, 0, 0, None]),
+    ],
+)
+def test_iteration_rejects_a_live_edge_inside_a_cluster_or_outside_all(
+    cluster_of, center_of, parent, depth_of
+):
+    g = build_graph(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (2, 3, 1.0)])
+    d = Clustering(4, cluster_of, center_of, parent, depth_of)
+    d.validate()
+    with pytest.raises(RuntimeError):
+        _run_iteration(
+            edge_arrays(g), _EdgeLedger(g.m), np.arange(4), d, {1}, np.arange(4), 1, 1, ""
+        )
 
 
 @pytest.mark.parametrize("joiner, settler", [(0, 1), (1, 0)])
@@ -302,13 +336,15 @@ def test_edge_discarded_from_both_ends_keeps_the_smaller_nodes_rule(joiner, sett
     cluster_of[h] = h
     d = Clustering(5, cluster_of, {j: j, s: s, h: h}, parent, depth_of)
     d.validate()
-    ledger = _EdgeLedger(g)
-    d_next, survivors, _ = _run_iteration(g, ledger, list(range(5)), d, {h}, [0, 1, 2, 3], 1, 1, "")
+    ledger = _EdgeLedger(g.m)
+    d_next, survivors, _ = _run_iteration(
+        edge_arrays(g), ledger, np.arange(5), d, {h}, np.array([1, 2, 3, 0]), 1, 1, ""
+    )
     assert d_next.parent[j] == (h, join_edge)
     assert ledger.state[heavy] == SpannerBuild.OUT
-    assert ledger.discards == {heavy: (1, 1, RULE_JOIN if j < s else RULE_SETTLE)}
+    assert _discards(ledger) == {heavy: (1, 1, RULE_JOIN if j < s else RULE_SETTLE)}
     assert [ledger.state[e] for e in (1, 2, 3)] == [SpannerBuild.IN] * 3
-    assert survivors == []
+    assert survivors.tolist() == []
 
 
 def test_completion_sweep_skips_edges_an_earlier_node_kept():
@@ -318,6 +354,9 @@ def test_completion_sweep_skips_edges_an_earlier_node_kept():
     g = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 1.0)])
     final = Clustering(3, [0, 1, 0], {0: 0, 1: 1}, [None, None, (0, 2)], [0, 0, 1])
     final.validate()
-    ledger = _EdgeLedger(g)
-    assert _completion_sweep(g, ledger, final, range(3), [0, 1], 1, "completion") == (2, 0)
+    ledger = _EdgeLedger(g.m)
+    sweep = _completion_sweep(
+        edge_arrays(g), ledger, final, np.arange(3), np.array([0, 1]), 1, "completion"
+    )
+    assert sweep == (2, 0)
     assert ledger.state[0] == ledger.state[1] == SpannerBuild.IN
