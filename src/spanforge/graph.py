@@ -137,9 +137,10 @@ def edge_arrays(g: WeightedGraph) -> EdgeArrays:
 def sort_pairs(major: np.ndarray, minor: np.ndarray, bound: int) -> None:
     """Sort the pairs (major[i], minor[i]) in place, ascending.
 
-    Both are int64 arrays with major >= 0 and 0 <= minor < bound.  While
-    every pair packs into one int64 as major * bound + minor, one plain sort
-    of the packed values does it, with no index array.
+    major is int64 and minor int32 or int64, with major >= 0 and
+    0 <= minor < bound.  While every pair packs into one int64 as
+    major * bound + minor, one plain sort of the packed values does it,
+    with no index array; otherwise a lexsort does.
     """
     if len(major) and (int(major.max()) + 1) * bound > 2**63:
         order = np.lexsort((minor, major))
@@ -322,12 +323,14 @@ def gen_gnp(n: int, p: float, weights: WeightSpec = "unit", seed: int = 0) -> We
     if not unit:
         lo, hi = float(weights[1]), float(weights[2])
     rng = random.Random(seed)
-    triples = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                triples.append((i, j, 1.0 if unit else rng.uniform(lo, hi)))
-    return build_graph(n, triples)
+
+    def triples():
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < p:
+                    yield i, j, 1.0 if unit else rng.uniform(lo, hi)
+
+    return build_graph(n, triples())
 
 
 def gen_path(n: int) -> WeightedGraph:
@@ -352,15 +355,17 @@ def gen_star(n: int) -> WeightedGraph:
 
 def gen_grid(width: int, height: int) -> WeightedGraph:
     _check_sizes(width=width, height=height)
-    triples = []
-    for r in range(height):
-        for c in range(width):
-            v = r * width + c
-            if c + 1 < width:
-                triples.append((v, v + 1, 1.0))
-            if r + 1 < height:
-                triples.append((v, v + width, 1.0))
-    return build_graph(width * height, triples)
+
+    def triples():
+        for r in range(height):
+            for c in range(width):
+                v = r * width + c
+                if c + 1 < width:
+                    yield v, v + 1, 1.0
+                if r + 1 < height:
+                    yield v, v + width, 1.0
+
+    return build_graph(width * height, triples())
 
 
 def parse_generator_spec(spec: str):

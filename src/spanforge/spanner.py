@@ -26,6 +26,7 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -272,7 +273,8 @@ class _EdgeLedger:
 def _node_ids(values: Sequence[int | None]) -> np.ndarray:
     """values as int32 with -1 for None, plus a trailing -1 so that an
     index of -1 (a node outside the map) also reads -1."""
-    return np.array([-1 if x is None else x for x in values] + [-1], np.int32)
+    ids = chain((-1 if x is None else x for x in values), (-1,))
+    return np.fromiter(ids, np.int32, len(values) + 1)
 
 
 def _check_weight_order(edges: EdgeArrays, live: np.ndarray) -> None:
@@ -327,58 +329,70 @@ def _run_iteration(
     n_ids = len(cluster_of)
     in_sampled = np.zeros(n_ids, bool)
     in_sampled[list(sampled)] = True
-    from_a, from_b = ~in_sampled[ca], ~in_sampled[cb]
-    group = np.concatenate((a[from_a], b[from_b])).astype(np.int64)
-    group *= n_ids
-    group += np.concatenate((cb[from_a], ca[from_b]))
-    pos = np.concatenate((np.flatnonzero(from_a), np.flatnonzero(from_b)))
-    del ca, cb, from_a, from_b
+    sides = [(a, cb, ~in_sampled[ca]), (b, ca, ~in_sampled[cb])]
+    del ca, cb
+    rows = sum(np.count_nonzero(keep) for _, _, keep in sides)
+    group, pos = np.empty(rows, np.int64), np.empty(rows, np.int32)
+    start = 0
+    for node, far, keep in sides:
+        end = start + np.count_nonzero(keep)
+        group[start:end] = node[keep]
+        group[start:end] *= n_ids
+        group[start:end] += far[keep]
+        pos[start:end] = np.flatnonzero(keep)
+        start = end
+    del a, b, sides, node, far, keep
     sort_pairs(group, pos, max(len(live), 1))
 
     # Per row: its node, its live position and whether it leads into a
-    # sampled cluster, in int32.  A group's first row is its lightest edge.
+    # sampled cluster.  A group's first row is its lightest edge.
     first = _group_starts(group)
-    into_sampled = in_sampled[group % n_ids]
-    group //= n_ids
-    node, pos = group.astype(np.int32), pos.astype(np.int32)
-    del group
+    far = np.empty(rows, np.int32)
+    np.divmod(group, n_ids, out=(group, far))
+    into_sampled = in_sampled[far]
+    node = group.astype(np.int32)
+    del group, far
     best_node, best_pos = node[first], pos[first]
-    best_w = edges.w[live[best_pos]]
 
     # A joining node's join edge is its earliest best edge into a sampled
-    # cluster; it keeps that group and the groups strictly lighter.
+    # cluster; it keeps that group and the groups strictly lighter, which
+    # start before the first live position of the join edge's weight.
     best_into = into_sampled[first]
     del into_sampled
-    join_pos = np.full(n_ids, len(live), np.int64)
+    no_join = len(live)
+    join_pos = np.full(n_ids, no_join, np.int32)
     np.minimum.at(join_pos, best_node[best_into], best_pos[best_into])
-    joiner = np.flatnonzero(join_pos < len(live))
-    join = best_pos == join_pos[best_node]
-    limit = np.full(n_ids, np.inf)
-    limit[joiner] = best_w[join]
-    kept = (best_w < limit[best_node]) | join
-    del best_into, best_w, join
+    joiner = np.flatnonzero(join_pos < no_join)
+    limit = np.full(n_ids, no_join, np.int32)
+    limit[joiner] = np.searchsorted(edges.w[live], edges.w[live[join_pos[joiner]]])
+    kept = (best_pos < limit[best_node]) | (best_pos == join_pos[best_node])
+    del best_into, best_node, limit
 
+    # Each row's group is kept or not: a running sum of the change in
+    # kept from one group to the next, taken at the group starts.
     ledger.add(live[best_pos[kept]])
-    superseded = np.repeat(kept, np.diff(np.flatnonzero(first), append=len(first)))
+    change = np.zeros(rows, np.int8)
+    change[first] = np.diff(kept.view(np.int8), prepend=np.int8(0))
+    superseded = np.cumsum(change, dtype=np.int8).view(bool)
     superseded &= ~first
-    joined = np.isfinite(limit[node[superseded]])
+    joined = join_pos[node[superseded]] < no_join
     rule = np.where(joined, RULES.index(prefix + RULE_JOIN), RULES.index(prefix + RULE_SETTLE))
     ledger.discard(live[pos[superseded]], epoch, iteration, rule.astype(np.uint8))
-    del node, pos, first, superseded
+    del node, pos, first, change, superseded
 
-    join_pos = join_pos[joiner]
-    hosts = a[join_pos] + b[join_pos] - joiner  # the join edge's other end
-    attach = dict(zip(joiner.tolist(), zip(hosts.tolist(), live[join_pos].tolist())))
+    join_edge = live[join_pos[joiner]]
+    hosts = super_of[edges.u[join_edge]] + super_of[edges.v[join_edge]] - joiner  # other end
+    attach = dict(zip(joiner.tolist(), zip(hosts.tolist(), join_edge.tolist())))
     d_next = grow_clusters(d, sampled, attach)
 
     cluster_of = _node_ids(d_next.cluster_of)
-    still = ledger.state[live] == SpannerBuild.LIVE
-    ca, cb = cluster_of[a[still]], cluster_of[b[still]]
+    rest = live[ledger.state[live] == SpannerBuild.LIVE]
+    ca, cb = cluster_of[super_of[edges.u[rest]]], cluster_of[super_of[edges.v[rest]]]
     if np.any((ca < 0) | (cb < 0)):
         raise RuntimeError("a live edge has an endpoint that left the clustering")
     inside = ca == cb
-    ledger.discard(live[still][inside], epoch, iteration, RULES.index(prefix + RULE_INTRA))
-    survivors = live[still][~inside]
+    ledger.discard(rest[inside], epoch, iteration, RULES.index(prefix + RULE_INTRA))
+    survivors = rest[~inside]
 
     added, discarded = ledger.decided(live)
     trace = IterationTrace(
