@@ -52,10 +52,6 @@ RULE_INTRA = "intra-cluster"       # became internal to a grown cluster
 RULE_DEDUP = "contract-dedup"      # lost the per-super-pair minimum at contraction
 RULE_COMPLETION = "completion"     # superseded in the final completion sweep
 STAGE2 = "stage2-"                 # prefix of every twophase stage-two rule
-# Every rule a ledger can record; an edge's rule code indexes this tuple.
-RULES = (RULE_JOIN, RULE_SETTLE, RULE_INTRA, RULE_DEDUP, RULE_COMPLETION) + tuple(
-    STAGE2 + rule for rule in (RULE_JOIN, RULE_SETTLE, RULE_INTRA, RULE_COMPLETION)
-)
 
 
 @dataclass(frozen=True)
@@ -191,8 +187,7 @@ class SpannerBuild:
         if s == self.IN:
             return ("in_spanner",)
         if s == self.OUT:
-            iteration = int(ledger.iteration[eid]) or None
-            return ("discarded", int(ledger.epoch[eid]), iteration, RULES[ledger.rule[eid]])
+            return ("discarded",) + ledger.records[ledger.record[eid]]
         return ("unprocessed",)
 
     @property
@@ -200,9 +195,14 @@ class SpannerBuild:
         return len(self.spanner_edges)
 
     def discard_histogram(self) -> dict[str, int]:
-        out = self._ledger.state == self.OUT
-        counts = np.bincount(self._ledger.rule[out], minlength=len(RULES))
-        return {rule: int(c) for rule, c in zip(RULES, counts) if c}
+        ledger = self._ledger
+        out = ledger.state == self.OUT
+        counts = np.bincount(ledger.record[out], minlength=len(ledger.records))
+        hist: dict[str, int] = {}
+        for (_, _, rule), count in zip(ledger.records, counts.tolist()):
+            if count:
+                hist[rule] = hist.get(rule, 0) + count
+        return hist
 
     def as_dict(self) -> dict:
         return {
@@ -236,30 +236,35 @@ class SpannerBuild:
 
 class _EdgeLedger:
     """Each edge's fate while an algorithm runs: its state and, once
-    discarded, the epoch, iteration (0 for none) and rule code."""
+    discarded, the index of its (epoch, iteration, rule) record."""
 
     def __init__(self, m: int):
         self.state = np.zeros(m, np.uint8)  # SpannerBuild.LIVE
-        self.epoch = np.zeros(m, np.int32)
-        self.iteration = np.zeros(m, np.int32)
-        self.rule = np.zeros(m, np.uint8)
+        self.record = np.zeros(m, np.int32)
+        self.records: list[tuple[int, int | None, str]] = []
+        self._codes: dict[tuple[int, int | None, str], int] = {}
+
+    def code(self, epoch: int, iteration: int | None, rule: str) -> int:
+        """The index of the record (epoch, iteration, rule), made on first use."""
+        key = (epoch, iteration, rule)
+        if key not in self._codes:
+            self._codes[key] = len(self.records)
+            self.records.append(key)
+        return self._codes[key]
 
     def add(self, eids: np.ndarray) -> None:
         """Put the live edges among eids into the spanner."""
         self.state[eids[self.state[eids] == SpannerBuild.LIVE]] = SpannerBuild.IN
 
-    def discard(
-        self, eids: np.ndarray, epoch: int, iteration: int, rule: int | np.ndarray
-    ) -> None:
-        """Discard the live edges among eids with a rule code, or one code
-        per eid; an edge listed twice takes the code of its first listing."""
+    def discard(self, eids: np.ndarray, code: int | np.ndarray) -> None:
+        """Discard the live edges among eids under a record code, or one
+        code per eid; an edge listed twice takes the code of its first
+        listing."""
         eids, first = np.unique(eids, return_index=True)
         live = self.state[eids] == SpannerBuild.LIVE
         eids = eids[live]
         self.state[eids] = SpannerBuild.OUT
-        self.epoch[eids] = epoch
-        self.iteration[eids] = iteration
-        self.rule[eids] = rule if np.isscalar(rule) else rule[first[live]]
+        self.record[eids] = code if np.isscalar(code) else code[first[live]]
 
     def decided(self, eids: np.ndarray) -> tuple[int, int]:
         """How many of eids are in the spanner and how many are discarded."""
@@ -376,9 +381,10 @@ def _run_iteration(
     superseded = np.cumsum(change, dtype=np.int8).view(bool)
     superseded &= ~first
     joined = join_pos[node[superseded]] < no_join
-    rule = np.where(joined, RULES.index(prefix + RULE_JOIN), RULES.index(prefix + RULE_SETTLE))
-    ledger.discard(live[pos[superseded]], epoch, iteration, rule.astype(np.uint8))
-    del node, pos, first, change, superseded
+    code = np.where(joined, ledger.code(epoch, iteration, prefix + RULE_JOIN),
+                    ledger.code(epoch, iteration, prefix + RULE_SETTLE))
+    ledger.discard(live[pos[superseded]], code)
+    del node, pos, first, change, superseded, best_pos, kept
 
     join_edge = live[join_pos[joiner]]
     hosts = super_of[edges.u[join_edge]] + super_of[edges.v[join_edge]] - joiner  # other end
@@ -391,7 +397,7 @@ def _run_iteration(
     if np.any((ca < 0) | (cb < 0)):
         raise RuntimeError("a live edge has an endpoint that left the clustering")
     inside = ca == cb
-    ledger.discard(rest[inside], epoch, iteration, RULES.index(prefix + RULE_INTRA))
+    ledger.discard(rest[inside], ledger.code(epoch, iteration, prefix + RULE_INTRA))
     survivors = rest[~inside]
 
     added, discarded = ledger.decided(live)
@@ -430,7 +436,7 @@ def _contract(
     """Contract d's clusters and discard the duplicate edges contract drops;
     returns the new quotient, the edges still live and the drop count."""
     quotient, dropped = contract(quotient, d, live, edges)
-    ledger.discard(np.array(dropped, np.intp), epoch, iteration, RULES.index(RULE_DEDUP))
+    ledger.discard(np.array(dropped, np.intp), ledger.code(epoch, iteration, RULE_DEDUP))
     return quotient, live[ledger.state[live] == SpannerBuild.LIVE], len(dropped)
 
 
@@ -466,7 +472,7 @@ def _completion_sweep(
     sort_pairs(group, pos, max(len(live), 1))
     first = _group_starts(group)
     ledger.add(live[pos[first]])
-    ledger.discard(live[pos[~first]], epoch, 0, RULES.index(rule))
+    ledger.discard(live[pos[~first]], ledger.code(epoch, None, rule))
     return ledger.decided(live)
 
 

@@ -26,7 +26,6 @@ from spanforge.graph import edge_arrays
 from spanforge.spanner import (
     RULE_JOIN,
     RULE_SETTLE,
-    RULES,
     SpannerBuild,
     _completion_sweep,
     _EdgeLedger,
@@ -267,10 +266,8 @@ def test_finish_rejects_unprocessed_edges():
 
 def _discards(ledger: _EdgeLedger) -> dict:
     """The ledger's discarded edges as {eid: (epoch, iteration, rule)}."""
-    return {
-        int(e): (int(ledger.epoch[e]), int(ledger.iteration[e]) or None, RULES[ledger.rule[e]])
-        for e in np.flatnonzero(ledger.state == SpannerBuild.OUT)
-    }
+    out = np.flatnonzero(ledger.state == SpannerBuild.OUT)
+    return {int(e): ledger.records[ledger.record[e]] for e in out}
 
 
 @pytest.mark.parametrize(
