@@ -1,8 +1,11 @@
-"""Golden sha256 digests of canonical build JSON and CLI report bytes.
+"""Golden sha256 digests of canonical build JSON, final clusterings and CLI
+report bytes.
 
 Each case runs one fixed (graph, algorithm, k, t, seed) build, or one CLI
 command, and compares the sha256 of its output with the digest stored in
-golden_digests.json next to this file.  Determinism within one process is
+golden_digests.json next to this file.  A build is digested twice: its
+to_json() bytes, and its final clustering as one JSON list of [cluster,
+parent, parent_edge, depth] per node with -1 for none.  Determinism within one process is
 covered elsewhere; these digests catch output drift between commits.
 
 Running this file as a script rewrites golden_digests.json from the
@@ -63,18 +66,39 @@ def _sha(data: str | bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _build(graph: str, algo: str, k: int, t: int, seed: int):
+    g = GRAPHS[graph]()
+    if algo == "general":
+        return general_spanner(g, k, t, seed, radius_checks=True)
+    if algo == "merge":
+        return cluster_merge_spanner(g, k, seed, radius_checks=True)
+    if algo == "bs":
+        return baswana_sen(g, k, seed)
+    return two_phase_spanner(g, k, seed)
+
+
+def _clustering_rows(c) -> list[list[int]]:
+    """One [cluster, parent, parent_edge, depth] row per node, -1 for none."""
+    rows = []
+    for v in range(c.node_count):
+        pe = c.parent[v]
+        rows.append([
+            -1 if c.cluster_of[v] is None else c.cluster_of[v],
+            -1 if pe is None else pe[0],
+            -1 if pe is None else pe[1],
+            -1 if c.depth_of[v] is None else c.depth_of[v],
+        ])
+    return rows
+
+
 def _build_case(graph: str, algo: str, k: int, t: int, seed: int) -> Callable[[], str]:
+    return lambda: _sha(_build(graph, algo, k, t, seed).to_json())
+
+
+def _clustering_case(graph: str, algo: str, k: int, t: int, seed: int) -> Callable[[], str]:
     def run() -> str:
-        g = GRAPHS[graph]()
-        if algo == "general":
-            build = general_spanner(g, k, t, seed, radius_checks=True)
-        elif algo == "merge":
-            build = cluster_merge_spanner(g, k, seed, radius_checks=True)
-        elif algo == "bs":
-            build = baswana_sen(g, k, seed)
-        else:
-            build = two_phase_spanner(g, k, seed)
-        return _sha(build.to_json())
+        rows = _clustering_rows(_build(graph, algo, k, t, seed).final_clustering)
+        return _sha(json.dumps(rows, separators=(",", ":")))
 
     return run
 
@@ -115,7 +139,9 @@ def _cases() -> dict[str, Callable[[], str]]:
     cases: dict[str, Callable[[], str]] = {}
 
     def add_build(graph: str, algo: str, k: int, t: int = 1, seed: int = 7) -> None:
-        cases[f"build/{graph}/{algo}/k{k}/t{t}/s{seed}"] = _build_case(graph, algo, k, t, seed)
+        name = f"{graph}/{algo}/k{k}/t{t}/s{seed}"
+        cases["build/" + name] = _build_case(graph, algo, k, t, seed)
+        cases["final-clustering/" + name] = _clustering_case(graph, algo, k, t, seed)
 
     for graph in ("gnp-w", "gnp-u"):
         for k in (4, 6):
