@@ -57,7 +57,6 @@ from .apsp import (
     apsp_experiment,
     apsp_matrix,
     coordinator_budget,
-    write_distance_csv,
 )
 from .cli import CostModel, cost_model
 

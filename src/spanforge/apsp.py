@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -43,20 +42,6 @@ def coordinator_budget(n: int, factor: float = 8.0) -> float:
     spanner on one coordinator; reported, never enforced."""
     inner = max(2.0, math.log2(max(2, n)))
     return factor * n * math.log2(inner)
-
-
-def write_distance_csv(matrix: np.ndarray, sink, max_n: int = EXACT_APSP_GUARD) -> None:
-    """Dump a distance matrix as CSV (one row per source); size-guarded."""
-    n = matrix.shape[0]
-    if n > max_n:
-        raise DomainError(f"refusing to write a {n}x{n} distance matrix (guard {max_n})")
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8") as fh:
-            write_distance_csv(matrix, fh, max_n)
-        return
-    sink.write(",".join(f"v{j}" for j in range(n)) + "\n")
-    for i in range(n):
-        sink.write(",".join(repr(float(x)) for x in matrix[i]) + "\n")
 
 
 @dataclass

@@ -62,13 +62,17 @@ def cost_model(k: int, t: int, gamma: float = 1.0) -> CostModel:
     _check_gamma(gamma)
     epochs = epoch_count(k, t)
     iterations = epochs * t
+    try:
+        mpc_rounds = math.ceil(iterations / gamma)
+    except OverflowError:
+        raise DomainError(f"mpc_rounds = iterations / gamma overflows at gamma = {gamma}") from None
     return CostModel(
         k=k,
         t=t,
         gamma=gamma,
         epochs=epochs,
         iterations=iterations,
-        mpc_rounds=math.ceil(iterations / gamma),
+        mpc_rounds=mpc_rounds,
         clique_rounds=iterations,
     )
 
@@ -119,13 +123,13 @@ def cmd_build(args) -> int:
         else:
             g = make(args.seed)
         build = ALGORITHMS[args.algo](g, args.k, t, args.seed)
+        report = build_report(source, args.algo, build, args.gamma)
     except (DomainError, EdgeListError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.spanner_out:
         spanner = WeightedGraph(g.n, [g.edges[eid] for eid in build.spanner_edges])
         write_edge_list(spanner, args.spanner_out)
-    report = build_report(source, args.algo, build, args.gamma)
     status = 0
     if args.audit is not None:
         bound = stretch_bound(args.algo, args.k, t) if args.audit == "auto" else args.audit

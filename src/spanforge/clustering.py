@@ -25,52 +25,57 @@ from .graph import DomainError, EdgeArrays, WeightedGraph, sort_pairs
 
 @dataclass
 class Clustering:
-    """Partition of active nodes into rooted trees.
+    """Partition of active nodes into rooted trees, one int32 entry per node.
 
-    Cluster ids equal their root node id.  ``cluster_of[v]`` is None for
-    nodes that are no longer active.  ``parent[v]`` is ``(parent_node,
-    edge_id)`` with edge ids referring to the original graph's edge list.
+    ``cluster_of[v]`` is the id of v's cluster, which is the id of its root,
+    or -1 for a node that is no longer active.  ``parent[v]`` is v's parent
+    node and ``parent_edge[v]`` the original edge id to it, both -1 at a
+    root or an inactive node.  ``depth[v]`` is v's depth in its tree, -1
+    for an inactive node.
     """
 
-    node_count: int
-    cluster_of: list[int | None]
-    center_of: dict[int, int]
-    parent: list[tuple[int, int] | None]
-    depth_of: list[int | None]
+    cluster_of: np.ndarray
+    parent: np.ndarray
+    parent_edge: np.ndarray
+    depth: np.ndarray
 
-    def clusters(self) -> list[int]:
-        return sorted(self.center_of)
+    def clusters(self) -> np.ndarray:
+        """The cluster ids, ascending: the nodes that are their own cluster."""
+        return np.flatnonzero(self.cluster_of == np.arange(len(self.cluster_of)))
 
     def validate(self) -> None:
-        """Tree consistency: parent walks reach the recorded center in
-        depth_of steps with strictly decreasing depth; clusters partition
-        the active nodes.  Raises ValueError on breakage."""
-        for cid, root in self.center_of.items():
-            if cid != root:
-                raise ValueError(f"cluster id {cid} != root {root}")
-            if self.cluster_of[root] != cid:
-                raise ValueError(f"root {root} not in own cluster")
-        for v in range(self.node_count):
-            cid = self.cluster_of[v]
-            if cid is None:
-                if self.parent[v] is not None or self.depth_of[v] is not None:
+        """Tree consistency: parent walks reach the cluster's root in depth
+        steps with strictly decreasing depth; every root is its own cluster;
+        clusters partition the active nodes.  Raises ValueError on breakage."""
+        cluster_of, parent, parent_edge, depth = (
+            a.tolist() for a in (self.cluster_of, self.parent, self.parent_edge, self.depth)
+        )
+        n = len(cluster_of)
+        for v in range(n):
+            cid = cluster_of[v]
+            if cid < 0:
+                if parent[v] >= 0 or parent_edge[v] >= 0 or depth[v] >= 0:
                     raise ValueError(f"inactive node {v} has a parent or depth")
                 continue
-            if cid not in self.center_of:
+            if (parent[v] < 0) != (parent_edge[v] < 0):
+                raise ValueError(f"node {v} has a parent without an edge or an edge without a parent")
+            if parent[v] < 0 and cid != v:
+                raise ValueError(f"root {v} not in own cluster")
+            if cid >= n or cluster_of[cid] != cid:
                 raise ValueError(f"node {v} in unregistered cluster {cid}")
             node, steps = v, 0
-            while self.parent[node] is not None:
-                nxt, _ = self.parent[node]
-                if self.cluster_of[nxt] != cid:
+            while parent[node] >= 0:
+                nxt = parent[node]
+                if cluster_of[nxt] != cid:
                     raise ValueError(f"parent walk leaves cluster at {node}")
-                if self.depth_of[nxt] != self.depth_of[node] - 1:
+                if depth[nxt] != depth[node] - 1:
                     raise ValueError(f"depth does not drop by one from {node} to {nxt}")
                 node, steps = nxt, steps + 1
-                if steps > self.node_count:
+                if steps > n:
                     raise ValueError(f"parent cycle through {v}")
-            if node != self.center_of[cid]:
-                raise ValueError(f"walk from {v} missed center")
-            if steps != self.depth_of[v]:
+            if node != cid:
+                raise ValueError(f"walk from {v} missed center: cluster id {cid} != root {node}")
+            if steps != depth[v]:
                 raise ValueError(f"depth mismatch at {v}")
 
 
@@ -78,19 +83,19 @@ class Clustering:
 class QuotientGraph:
     """Contracted view of a graph.
 
-    super_of maps every original vertex to its super-node id (None once the
-    vertex has left the active part of the construction).  The surviving
-    edges between super-nodes are not stored here; contract reports the
-    duplicates it drops, and the caller keeps the rest.
+    super_of maps every original vertex to its super-node id, as int32 with
+    -1 once the vertex has left the active part of the construction.  The
+    surviving edges between super-nodes are not stored here; contract
+    reports the duplicates it drops, and the caller keeps the rest.
     """
 
     super_count: int
-    super_of: list[int | None]
+    super_of: np.ndarray
 
 
 def identity_quotient(g: WeightedGraph) -> QuotientGraph:
     """Level-zero quotient: every vertex is its own super-node."""
-    return QuotientGraph(super_count=g.n, super_of=list(range(g.n)))
+    return QuotientGraph(super_count=g.n, super_of=np.arange(g.n, dtype=np.int32))
 
 
 @dataclass
@@ -105,23 +110,29 @@ class RadiusCertificate:
     violation: dict | None = None
 
 
+def _lookup(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """table[ids] as int32, -1 where an id is -1 (numpy would read the last
+    entry, or fail on an empty table)."""
+    out = np.full(len(ids), -1, np.int32)
+    valid = ids >= 0
+    out[valid] = table[ids[valid]]
+    return out
+
+
 def singleton_clustering(target: WeightedGraph | QuotientGraph) -> Clustering:
     """Every active node of the graph or quotient is its own depth-0 cluster."""
-    if isinstance(target, WeightedGraph):
-        count = target.n
-    else:
-        count = target.super_count
+    count = target.n if isinstance(target, WeightedGraph) else target.super_count
     return Clustering(
-        node_count=count,
-        cluster_of=list(range(count)),
-        center_of={v: v for v in range(count)},
-        parent=[None] * count,
-        depth_of=[0] * count,
+        cluster_of=np.arange(count, dtype=np.int32),
+        parent=np.full(count, -1, np.int32),
+        parent_edge=np.full(count, -1, np.int32),
+        depth=np.zeros(count, np.int32),
     )
 
 
-def sample_clusters(clustering: Clustering, p: float, rng: random.Random) -> set[int]:
-    """Independently include each cluster with probability p.
+def sample_clusters(clustering: Clustering, p: float, rng: random.Random) -> np.ndarray:
+    """Independently include each cluster with probability p; returns the
+    sampled cluster ids, ascending.
 
     Clusters are visited in ascending cluster id and one uniform draw is
     consumed per cluster, so results are reproducible for a fixed rng
@@ -129,44 +140,57 @@ def sample_clusters(clustering: Clustering, p: float, rng: random.Random) -> set
     """
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"sampling probability {p} outside [0, 1]")
-    return {cid for cid in clustering.clusters() if rng.random() < p}
+    cids = clustering.clusters()
+    return cids[np.array([rng.random() for _ in range(len(cids))]) < p]
 
 
 def grow_clusters(
-    clustering: Clustering, sampled: set[int], attach: dict[int, tuple[int, int]]
+    clustering: Clustering,
+    sampled: np.ndarray,
+    nodes: np.ndarray,
+    hosts: np.ndarray,
+    edges: np.ndarray,
 ) -> Clustering:
     """Extend sampled clusters by single nodes in one pass.
 
-    ``attach`` maps each joining node to ``(host_node, edge)``, where the
-    host lies in a sampled cluster.  Nodes of sampled clusters keep their
-    cluster, parent and depth; an attaching node takes its host's cluster,
-    hangs below the host via the edge and sits one level deeper.  Every
-    other node leaves the clustering.  Raises ValueError for a sampled
-    cluster that does not exist, an attaching node that is inactive or in
-    a sampled cluster, or a host outside the sampled clusters.
+    Node ``nodes[i]`` joins through original edge ``edges[i]`` to
+    ``hosts[i]``, which lies in a sampled cluster.  Nodes of sampled
+    clusters keep their cluster, parent and depth; a joining node takes its
+    host's cluster, hangs below the host via the edge and sits one level
+    deeper.  Every other node leaves the clustering.  Raises ValueError for
+    a sampled cluster that does not exist, a joining node that is inactive
+    or in a sampled cluster, or a host outside the sampled clusters.
     """
-    for cid in sampled:
-        if cid not in clustering.center_of:
-            raise ValueError(f"sampled cluster {cid} does not exist")
-    n = clustering.node_count
-    cluster_of: list[int | None] = [None] * n
-    parent: list[tuple[int, int] | None] = [None] * n
-    depth_of: list[int | None] = [None] * n
-    for v in range(n):
-        if clustering.cluster_of[v] in sampled:
-            cluster_of[v] = clustering.cluster_of[v]
-            parent[v] = clustering.parent[v]
-            depth_of[v] = clustering.depth_of[v]
-    for v, (host, eid) in attach.items():
-        cid = clustering.cluster_of[v]
-        if cid is None or cid in sampled:
-            raise ValueError(f"node {v} cannot attach: it is inactive or in a sampled cluster")
-        if clustering.cluster_of[host] not in sampled:
-            raise ValueError(f"attach point {host} is not in a sampled cluster")
-        cluster_of[v] = cluster_of[host]
-        parent[v] = (host, eid)
-        depth_of[v] = depth_of[host] + 1
-    return Clustering(n, cluster_of, {cid: cid for cid in sorted(sampled)}, parent, depth_of)
+    cluster_of = clustering.cluster_of
+    n = len(cluster_of)
+    sampled = np.asarray(sampled, np.intp)
+    exists = (sampled >= 0) & (sampled < n)
+    exists[exists] = cluster_of[sampled[exists]] == sampled[exists]
+    if not exists.all():
+        raise ValueError(f"sampled cluster {sampled[exists.argmin()]} does not exist")
+    in_sampled = np.zeros(n, bool)
+    in_sampled[sampled] = True
+    # A node stays if its cluster is sampled; an inactive node's id of -1
+    # reads the last entry of in_sampled, which the mask overrides.
+    stays = in_sampled[cluster_of] & (cluster_of >= 0)
+    bad = (cluster_of[nodes] < 0) | stays[nodes]
+    if bad.any():
+        raise ValueError(
+            f"node {nodes[bad.argmax()]} cannot attach: it is inactive or in a sampled cluster"
+        )
+    bad = ~stays[hosts]
+    if bad.any():
+        raise ValueError(f"attach point {hosts[bad.argmax()]} is not in a sampled cluster")
+
+    grown = Clustering(
+        *(np.where(stays, a, np.int32(-1)) for a in
+          (cluster_of, clustering.parent, clustering.parent_edge, clustering.depth))
+    )
+    grown.cluster_of[nodes] = cluster_of[hosts]
+    grown.parent[nodes] = hosts
+    grown.parent_edge[nodes] = edges
+    grown.depth[nodes] = clustering.depth[hosts] + 1
+    return grown
 
 
 def contract(
@@ -174,7 +198,7 @@ def contract(
     clustering: Clustering,
     surviving_edges: Sequence[int] | np.ndarray,
     edges: EdgeArrays,
-) -> tuple[QuotientGraph, list[int]]:
+) -> tuple[QuotientGraph, np.ndarray]:
     """Contract each cluster to a super-node, keeping one edge per pair.
 
     ``surviving_edges`` are original edge ids, read from ``edges``, whose
@@ -187,31 +211,28 @@ def contract(
     """
     prev = identity_quotient(base) if isinstance(base, WeightedGraph) else base
     cids = clustering.clusters()
-    idmap = {cid: i for i, cid in enumerate(cids)}
-
-    super_of: list[int | None] = []
-    for s in prev.super_of:
-        cid = None if s is None else clustering.cluster_of[s]
-        super_of.append(None if cid is None else idmap[cid])
+    index_of = np.full(len(clustering.cluster_of), -1, np.int32)
+    index_of[cids] = np.arange(len(cids))
+    # Vertex -> previous super-node -> cluster -> new super-node.
+    super_of = _lookup(index_of, _lookup(clustering.cluster_of, prev.super_of))
 
     eids = np.asarray(surviving_edges, np.intp)
-    sup = np.array([-1 if s is None else s for s in super_of], np.int64)
-    a, b = sup[edges.u[eids]], sup[edges.v[eids]]
+    a, b = super_of[edges.u[eids]], super_of[edges.v[eids]]
     bad = (a < 0) | (b < 0) | (a == b)
     if bad.any():
         raise ValueError(f"surviving edge {eids[bad.argmax()]} does not cross two clusters")
     # Sorted by super-node pair, then (w, edge id): all but a pair's first edge drop.
     by_weight = np.argsort(eids)
     by_weight = by_weight[np.argsort(edges.w[eids[by_weight]], kind="stable")]
-    pair = np.minimum(a, b)[by_weight] * len(cids) + np.maximum(a, b)[by_weight]
+    pair = np.minimum(a, b)[by_weight].astype(np.int64) * len(cids) + np.maximum(a, b)[by_weight]
     rank = np.arange(len(eids))
     sort_pairs(pair, rank, max(len(eids), 1))
     repeat = rank[1:][pair[1:] == pair[:-1]]
-    return QuotientGraph(len(cids), super_of), np.sort(eids[by_weight[repeat]]).tolist()
+    return QuotientGraph(len(cids), super_of), np.sort(eids[by_weight[repeat]])
 
 
 def compose(
-    outer: Clustering, inner: Clustering, quotient: QuotientGraph, g: WeightedGraph
+    outer: Clustering, inner: Clustering, quotient: QuotientGraph, edges: EdgeArrays
 ) -> Clustering:
     """Expand a clustering of quotient super-nodes onto original vertices.
 
@@ -219,90 +240,74 @@ def compose(
     inner tree of a non-root super-node is re-rooted at the original
     endpoint of the edge that attached it, so the composed structure is
     again a forest of rooted trees on original vertices.  The composed
-    center of a cluster is the inner center of the outer root super-node.
+    cluster of a vertex is the inner cluster of its outer root super-node.
+    Raises ValueError for an outer super-node with no members or spanning
+    more than one inner cluster, an attach edge inconsistent with the
+    quotient, and a composed tree that is disconnected or cyclic.
     """
-    n = g.n
-    members: dict[int, list[int]] = {}
-    for v in range(n):
-        s = quotient.super_of[v]
-        if s is not None:
-            members.setdefault(s, []).append(v)
+    super_of = quotient.super_of
+    n = len(super_of)
+    # The vertices of the outer clusters' super-nodes, and the super-nodes.
+    outer_cid = _lookup(outer.cluster_of, super_of)
+    member = np.flatnonzero(outer_cid >= 0)
+    member_super = super_of[member]
+    # Each super-node's inner cluster, as read from any one member; it
+    # stays -1 only for a super-node without members.
+    inner_cid = inner.cluster_of[member]
+    inner_of = np.full(len(outer.cluster_of), -1, np.int32)
+    inner_of[member_super] = inner_cid
+    split = (inner_cid < 0) | (inner_cid != inner_of[member_super])
+    if split.any():
+        raise ValueError(f"super-node {member_super[split.argmax()]} does not match one inner cluster")
+    empty = (outer.cluster_of >= 0) & (inner_of < 0)
+    if empty.any():
+        raise ValueError(f"super-node {empty.argmax()} has no member vertices")
 
-    def inner_cid(s: int) -> int:
-        vs = members.get(s)
-        if not vs:
-            raise ValueError(f"super-node {s} has no member vertices")
-        cid = inner.cluster_of[vs[0]]
-        if cid is None or any(inner.cluster_of[v] != cid for v in vs):
-            raise ValueError(f"super-node {s} does not match one inner cluster")
-        return cid
+    cluster_c = np.full(n, -1, np.int32)
+    cluster_c[member] = inner_of[outer_cid[member]]
+    parent_c = np.full(n, -1, np.int32)
+    parent_c[member] = inner.parent[member]
+    edge_c = np.full(n, -1, np.int32)
+    edge_c[member] = inner.parent_edge[member]
 
-    cluster_c: list[int | None] = [None] * n
-    parent_c: list[tuple[int, int] | None] = [None] * n
-    depth_c: list[int | None] = [None] * n
-    center_c: dict[int, int] = {}
+    # Each non-root super-node s hangs below its outer parent by an edge
+    # (x, y) with y in s; s's inner tree is re-rooted at y, reversing the
+    # parent pointers on y's inner root path, all trees one level at a time.
+    attached = np.flatnonzero(outer.parent >= 0)
+    eid = outer.parent_edge[attached]
+    x, y = edges.u[eid], edges.v[eid]
+    swap = super_of[y] != attached
+    x, y = np.where(swap, y, x), np.where(swap, x, y)
+    bad = (super_of[y] != attached) | (super_of[x] != outer.parent[attached])
+    if bad.any():
+        raise ValueError(f"attach edge {eid[bad.argmax()]} inconsistent with quotient")
+    cur, carry, carry_edge = y, x, eid
+    for _ in range(n + 1):
+        if not len(cur):
+            break
+        up, up_edge = inner.parent[cur], inner.parent_edge[cur]
+        parent_c[cur], edge_c[cur] = carry, carry_edge
+        more = up >= 0
+        cur, carry, carry_edge = up[more], cur[more], up_edge[more]
+    else:
+        raise ValueError("composed tree is cyclic: an inner root path does not end")
 
-    outer_children: dict[int, list[int]] = {}
-    for s in range(outer.node_count):
-        pe = outer.parent[s]
-        if pe is not None:
-            outer_children.setdefault(pe[0], []).append(s)
-
-    for ocid in outer.clusters():
-        root_super = outer.center_of[ocid]
-        composed_root = inner.center_of[inner_cid(root_super)]
-        center_c[composed_root] = composed_root
-        stack = [root_super]
-        while stack:
-            s = stack.pop()
-            for v in members[s]:
-                cluster_c[v] = composed_root
-                parent_c[v] = inner.parent[v]
-            pe = outer.parent[s]
-            if pe is not None:
-                parent_super, eid = pe
-                x, y = g.endpoints(eid)
-                if quotient.super_of[y] != s:
-                    x, y = y, x
-                if quotient.super_of[y] != s or quotient.super_of[x] != parent_super:
-                    raise ValueError(f"attach edge {eid} inconsistent with quotient")
-                # Re-root the inner tree of s at its entry vertex y.
-                carry: tuple[int, int] | None = (x, eid)
-                cur = y
-                while True:
-                    old = inner.parent[cur]
-                    parent_c[cur] = carry
-                    if old is None:
-                        break
-                    pnode, peid = old
-                    carry = (cur, peid)
-                    cur = pnode
-            stack.extend(outer_children.get(s, ()))
-
-    # Depths by traversal from each composed root.
-    children_c: dict[int, list[int]] = {}
-    for v in range(n):
-        pe = parent_c[v]
-        if pe is not None:
-            children_c.setdefault(pe[0], []).append(v)
-    for root in center_c:
-        stack2 = [(root, 0)]
-        while stack2:
-            node, d = stack2.pop()
-            depth_c[node] = d
-            for ch in children_c.get(node, ()):
-                stack2.append((ch, d + 1))
-    for v in range(n):
-        if cluster_c[v] is not None and depth_c[v] is None:
-            raise ValueError(f"composed tree disconnected at vertex {v}")
-
-    return Clustering(
-        node_count=n,
-        cluster_of=cluster_c,
-        center_of=center_c,
-        parent=parent_c,
-        depth_of=depth_c,
-    )
+    # Depths by pointer jumping: top[v] is an ancestor depth_c[v] steps up,
+    # and each round doubles the distance until every top is a root.
+    top = np.where(parent_c >= 0, parent_c, np.arange(n, dtype=np.int32))
+    depth_c = (parent_c >= 0).astype(np.int32)
+    for _ in range(n.bit_length() + 1):
+        if not np.any(parent_c[top] >= 0):
+            break
+        depth_c += depth_c[top]
+        top = top[top]
+    else:
+        raise ValueError("composed tree is cyclic")
+    cut = (cluster_c >= 0) & (top != cluster_c)
+    if cut.any():
+        raise ValueError(f"composed tree disconnected at vertex {cut.argmax()}")
+    depth_c[cluster_c < 0] = -1
+    return Clustering(cluster_c, parent_c, edge_c, depth_c)
 
 
 def check_radius(
@@ -316,34 +321,39 @@ def check_radius(
     Passes iff every cluster's measured depth is at most r and, for every
     boundary edge (x, y) with a clustered endpoint, all edges on that
     endpoint's root path weigh at most the boundary edge.  Depths are
-    re-measured by walking parent pointers, independent of depth_of.
+    re-measured by walking parent pointers, independent of depth.  Raises
+    ValueError on a parent cycle.
     """
-    n = clustering.node_count
-    depth = [None] * n
+    cluster_of, parent, parent_edge = (
+        a.tolist() for a in (clustering.cluster_of, clustering.parent, clustering.parent_edge)
+    )
+    n = len(cluster_of)
+    depth: list[int | None] = [None] * n
     maxw: list[float | None] = [None] * n
 
     def resolve(v: int) -> None:
         chain = []
         node = v
         while depth[node] is None:
-            pe = clustering.parent[node]
-            if pe is None:
+            if parent[node] < 0:
                 depth[node] = 0
                 maxw[node] = 0.0
                 break
+            if len(chain) == n:
+                raise ValueError(f"parent cycle through {v}")
             chain.append(node)
-            node = pe[0]
+            node = parent[node]
         for node in reversed(chain):
-            pnode, peid = clustering.parent[node]
+            pnode = parent[node]
             depth[node] = depth[pnode] + 1
-            maxw[node] = max(maxw[pnode], g.weight(peid))
+            maxw[node] = max(maxw[pnode], g.weight(parent_edge[node]))
 
-    cluster_depths: dict[int, int] = {cid: 0 for cid in clustering.clusters()}
+    cluster_depths: dict[int, int] = {cid: 0 for cid in clustering.clusters().tolist()}
     for v in range(n):
-        if clustering.cluster_of[v] is None:
+        cid = cluster_of[v]
+        if cid < 0:
             continue
         resolve(v)
-        cid = clustering.cluster_of[v]
         if depth[v] > cluster_depths[cid]:
             cluster_depths[cid] = depth[v]
 
@@ -363,7 +373,7 @@ def check_radius(
         x, y, w = g.edges[eid]
         worst_path = 0.0
         for end in (x, y):
-            if clustering.cluster_of[end] is None:
+            if cluster_of[end] < 0:
                 continue
             resolve(end)
             worst_path = max(worst_path, maxw[end])

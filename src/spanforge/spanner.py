@@ -26,8 +26,6 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass
-from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
@@ -118,8 +116,8 @@ def epoch_count(k: int, t: int) -> int:
     return l
 
 
-def epoch_schedule(k: int, t: int, n: int) -> list[tuple[int, float, int]]:
-    """Formal epoch plan: (epoch index, sampling probability, t iterations).
+def epoch_schedule(k: int, t: int, n: int) -> list[tuple[int, float]]:
+    """Formal epoch plan: (epoch index, sampling probability) pairs.
 
     Epoch i samples with probability n**(-(t+1)**(i-1)/k), clamped to
     [0, 1].  The actual runs may stop the tail iterations early once the
@@ -132,7 +130,7 @@ def epoch_schedule(k: int, t: int, n: int) -> list[tuple[int, float, int]]:
     for i in range(1, l + 1):
         power = (t + 1) ** (i - 1)
         p = min(1.0, n ** (-power / k))
-        out.append((i, p, t))
+        out.append((i, p))
     return out
 
 
@@ -275,13 +273,6 @@ class _EdgeLedger:
         )
 
 
-def _node_ids(values: Sequence[int | None]) -> np.ndarray:
-    """values as int32 with -1 for None, plus a trailing -1 so that an
-    index of -1 (a node outside the map) also reads -1."""
-    ids = chain((-1 if x is None else x for x in values), (-1,))
-    return np.fromiter(ids, np.int32, len(values) + 1)
-
-
 def _check_weight_order(edges: EdgeArrays, live: np.ndarray) -> None:
     """The engine breaks weight ties by position in live, which therefore
     lists the live edges by weight."""
@@ -302,7 +293,7 @@ def _run_iteration(
     ledger: _EdgeLedger,
     super_of: np.ndarray,
     d: Clustering,
-    sampled: set[int],
+    sampled: np.ndarray,
     live: np.ndarray,
     epoch: int,
     iteration: int,
@@ -324,16 +315,17 @@ def _run_iteration(
     before every discard rule."""
     _check_weight_order(edges, live)
     a, b = super_of[edges.u[live]], super_of[edges.v[live]]
-    cluster_of = _node_ids(d.cluster_of)
-    ca, cb = cluster_of[a], cluster_of[b]
+    if np.any((a < 0) | (b < 0)):
+        raise RuntimeError("a live edge has an end outside the quotient")
+    ca, cb = d.cluster_of[a], d.cluster_of[b]
     if np.any((ca < 0) | (cb < 0) | (ca == cb)):
         raise RuntimeError("a live edge lies inside one cluster or has an end outside any")
 
     # The arcs of nodes outside the sampled clusters as (group, live
     # position) rows, group = node * n_ids + far cluster, sorted.
-    n_ids = len(cluster_of)
+    n_ids = len(d.cluster_of)
     in_sampled = np.zeros(n_ids, bool)
-    in_sampled[list(sampled)] = True
+    in_sampled[sampled] = True
     sides = [(a, cb, ~in_sampled[ca]), (b, ca, ~in_sampled[cb])]
     del ca, cb
     rows = sum(np.count_nonzero(keep) for _, _, keep in sides)
@@ -388,10 +380,9 @@ def _run_iteration(
 
     join_edge = live[join_pos[joiner]]
     hosts = super_of[edges.u[join_edge]] + super_of[edges.v[join_edge]] - joiner  # other end
-    attach = dict(zip(joiner.tolist(), zip(hosts.tolist(), join_edge.tolist())))
-    d_next = grow_clusters(d, sampled, attach)
+    d_next = grow_clusters(d, sampled, joiner, hosts, join_edge)
 
-    cluster_of = _node_ids(d_next.cluster_of)
+    cluster_of = d_next.cluster_of
     rest = live[ledger.state[live] == SpannerBuild.LIVE]
     ca, cb = cluster_of[super_of[edges.u[rest]]], cluster_of[super_of[edges.v[rest]]]
     if np.any((ca < 0) | (cb < 0)):
@@ -402,7 +393,7 @@ def _run_iteration(
 
     added, discarded = ledger.decided(live)
     trace = IterationTrace(
-        clusters_before=len(d.center_of),
+        clusters_before=len(d.clusters()),
         sampled=len(sampled),
         added=added,
         discarded=discarded,
@@ -419,12 +410,13 @@ def _run_epoch(
     the edges still live and the iteration traces."""
     if steps < 1:
         raise RuntimeError(f"epoch {epoch} ran no iteration")
-    super_of = _node_ids(quotient.super_of)
     d = singleton_clustering(quotient)
     iterations: list[IterationTrace] = []
     for j in range(1, steps + 1):
         sampled = sample_clusters(d, p, rng)
-        d, live, trace = _run_iteration(edges, ledger, super_of, d, sampled, live, epoch, j, prefix)
+        d, live, trace = _run_iteration(
+            edges, ledger, quotient.super_of, d, sampled, live, epoch, j, prefix
+        )
         iterations.append(trace)
     return d, live, iterations
 
@@ -436,7 +428,7 @@ def _contract(
     """Contract d's clusters and discard the duplicate edges contract drops;
     returns the new quotient, the edges still live and the drop count."""
     quotient, dropped = contract(quotient, d, live, edges)
-    ledger.discard(np.array(dropped, np.intp), ledger.code(epoch, iteration, RULE_DEDUP))
+    ledger.discard(dropped, ledger.code(epoch, iteration, RULE_DEDUP))
     return quotient, live[ledger.state[live] == SpannerBuild.LIVE], len(dropped)
 
 
@@ -461,12 +453,13 @@ def _completion_sweep(
     """
     _check_weight_order(edges, live)
     a, b = node_of[edges.u[live]], node_of[edges.v[live]]
-    cluster_of = _node_ids(final.cluster_of)
     group = np.minimum(a, b).astype(np.int64)
-    far = cluster_of[np.maximum(a, b)]
-    if np.any((group < 0) | (far < 0)):
+    if np.any(group < 0):
+        raise RuntimeError("a live edge has an end outside the quotient")
+    far = final.cluster_of[np.maximum(a, b)]
+    if np.any(far < 0):
         raise RuntimeError("a live edge has an endpoint outside the clustering")
-    group *= len(cluster_of)
+    group *= len(final.cluster_of)
     group += far
     pos = np.arange(len(live))
     sort_pairs(group, pos, max(len(live), 1))
@@ -554,14 +547,14 @@ def general_spanner(
     last_epoch = schedule[-1][0]
     spent = 0  # cumulative sampling exponent, in units of 1/k
 
-    for i, p, _ in schedule:
+    for i, p in schedule:
         power = (t + 1) ** (i - 1)
         steps = 0
         while steps < t and spent < k - 1:
             steps, spent = steps + 1, spent + power
         d, live, iterations = _run_epoch(edges, ledger, quotient, live, p, steps, rng, i)
 
-        composed = compose(d, composed, quotient, g)
+        composed = compose(d, composed, quotient, edges)
         if certs is not None:
             bound = ((2 * t + 1) ** i - 1) // 2
             certs.append(check_radius(g, composed, live.tolist(), bound))
@@ -569,7 +562,7 @@ def general_spanner(
         dedup = 0
         if i < last_epoch:
             quotient, live, dedup = _contract(edges, ledger, quotient, d, live, i, steps)
-        epochs.append(EpochTrace(i, p, iterations, len(d.center_of), dedup))
+        epochs.append(EpochTrace(i, p, iterations, len(d.clusters()), dedup))
 
     phase2 = _completion_sweep(
         edges, ledger, composed, np.arange(g.n), live, last_epoch, RULE_COMPLETION
@@ -617,21 +610,21 @@ def two_phase_spanner(g: WeightedGraph, k: int, seed: int) -> SpannerBuild:
     live = np.arange(g.m)  # unit weights, so already in weight order
     p = min(1.0, g.n ** (-1.0 / k))
     d, live, iterations = _run_epoch(edges, ledger, quotient, live, p, t, rng, 1)
-    composed = compose(d, singleton_clustering(g), quotient, g)
+    composed = compose(d, singleton_clustering(g), quotient, edges)
     quotient, live, dedup = _contract(edges, ledger, quotient, d, live, 1, t)
-    epochs = [EpochTrace(1, p, iterations, len(d.center_of), dedup)]
+    epochs = [EpochTrace(1, p, iterations, len(d.clusters()), dedup)]
     if not len(live):
         return _finish(g, ledger, k, t, seed, epochs, (0, 0), composed, None)
 
     # contract left one live edge per super-node pair.  Stage two lists
     # them by that pair, so unit-weight ties go to the smaller pair.
-    super_of = _node_ids(quotient.super_of)
+    super_of = quotient.super_of
     a, b = super_of[edges.u[live]], super_of[edges.v[live]]
     live = live[np.lexsort((np.maximum(a, b), np.minimum(a, b)))]
     p2 = min(1.0, quotient.super_count ** (-1.0 / t))
     rng2 = random.Random(rng.getrandbits(63))
     d2, live, iterations = _run_epoch(edges, ledger, quotient, live, p2, t - 1, rng2, 2, STAGE2)
-    epochs.append(EpochTrace(2, p2, iterations, len(d2.center_of)))
+    epochs.append(EpochTrace(2, p2, iterations, len(d2.clusters())))
     phase2 = _completion_sweep(edges, ledger, d2, super_of, live, 2, STAGE2 + RULE_COMPLETION)
-    final = compose(d2, composed, quotient, g)
+    final = compose(d2, composed, quotient, edges)
     return _finish(g, ledger, k, t, seed, epochs, phase2, final, None)

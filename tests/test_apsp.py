@@ -91,24 +91,6 @@ def test_memory_budget_reported_not_enforced():
     assert d["within_budget"] == (rep.spanner_size <= rep.memory_budget)
 
 
-def test_distance_matrix_csv_export(tmp_path):
-    import io
-
-    from spanforge import write_distance_csv
-
-    g = gen_path(4)
-    matrix = apsp_matrix(g)
-    buf = io.StringIO()
-    write_distance_csv(matrix, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "v0,v1,v2,v3"
-    assert len(lines) == 5
-    assert lines[1].split(",")[3] == "3.0"
-    big = np.zeros((3, 3))
-    with pytest.raises(DomainError):
-        write_distance_csv(big, io.StringIO(), max_n=2)
-
-
 def test_study_apsp_bound_check_survives_python_O(tmp_path):
     # Under -O a bare assert would vanish and the study would exit 0.
     script = (

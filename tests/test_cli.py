@@ -202,6 +202,26 @@ def test_cost_model_examples(tmp_path, schema):
     jsonschema.validate(read_json(out), schema)
 
 
+@pytest.mark.parametrize(
+    "t, gamma", [("1", "1e-310"), ("1" + "0" * 400, "1")], ids=["tiny-gamma", "huge-t"]
+)
+def test_cost_overflow_is_a_domain_error(t, gamma, capsys):
+    # iterations / gamma overflows a float: an error line and exit 1, not a traceback.
+    assert run_cli(["cost", "--k", "4", "--t", t, "--gamma", gamma]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_build_writes_no_file_when_its_report_fails(tmp_path, capsys):
+    spanner, report = tmp_path / "sp.txt", tmp_path / "rep.json"
+    code = run_cli(
+        ["build", "--gen", "path:5", "--algo", "bs", "--k", "2", "--gamma", "1e-310",
+         "--spanner-out", str(spanner), "--out", str(report)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not spanner.exists() and not report.exists()
+
+
 def test_study_single_trial(tmp_path, schema):
     csv_path = tmp_path / "study.csv"
     json_path = tmp_path / "study.json"

@@ -79,16 +79,8 @@ def _build(graph: str, algo: str, k: int, t: int, seed: int):
 
 def _clustering_rows(c) -> list[list[int]]:
     """One [cluster, parent, parent_edge, depth] row per node, -1 for none."""
-    rows = []
-    for v in range(c.node_count):
-        pe = c.parent[v]
-        rows.append([
-            -1 if c.cluster_of[v] is None else c.cluster_of[v],
-            -1 if pe is None else pe[0],
-            -1 if pe is None else pe[1],
-            -1 if c.depth_of[v] is None else c.depth_of[v],
-        ])
-    return rows
+    fields = (c.cluster_of, c.parent, c.parent_edge, c.depth)
+    return [list(row) for row in zip(*(f.tolist() for f in fields))]
 
 
 def _build_case(graph: str, algo: str, k: int, t: int, seed: int) -> Callable[[], str]:

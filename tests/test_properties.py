@@ -30,7 +30,8 @@ def _check_build(g, algo, k, t, seed):
     assert build.size + sum(build.discard_histogram().values()) == g.m
     assert component_labels(g, build.spanner_edges) == component_labels(g)
     build.final_clustering.validate()
-    tree_edges = {pe[1] for pe in build.final_clustering.parent if pe is not None}
+    parent_edge = build.final_clustering.parent_edge
+    tree_edges = set(parent_edge[parent_edge >= 0].tolist())
     assert tree_edges <= spanner
     assert audit_stretch(g, build.spanner_edges, stretch_bound(algo, k, t)).passed
 

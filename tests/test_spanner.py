@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from cluster_lists import clustering, parent_pairs
 
 from spanforge import (
-    Clustering,
     DomainError,
     Params,
     audit_stretch,
@@ -66,10 +66,9 @@ def test_stretch_bound_table():
 
 def test_epoch_schedule_k16_t1():
     sched = epoch_schedule(16, 1, 100)
-    assert [i for i, _, _ in sched] == [1, 2, 3, 4]
+    assert [i for i, _ in sched] == [1, 2, 3, 4]
     expected = [100 ** (-(2 ** j) / 16) for j in range(4)]
-    assert [p for _, p, _ in sched] == pytest.approx(expected)
-    assert all(iters == 1 for _, _, iters in sched)
+    assert [p for _, p in sched] == pytest.approx(expected)
 
 
 def test_epoch_schedule_degenerate_k1():
@@ -79,7 +78,7 @@ def test_epoch_schedule_degenerate_k1():
 def test_epoch_schedule_k9_t2():
     sched = epoch_schedule(9, 2, 50)
     assert len(sched) == 2
-    assert [p for _, p, _ in sched] == pytest.approx([50 ** (-1 / 9), 50 ** (-3 / 9)])
+    assert [p for _, p in sched] == pytest.approx([50 ** (-1 / 9), 50 ** (-3 / 9)])
 
 
 def test_epoch_count_integer_boundaries():
@@ -215,8 +214,8 @@ def test_tree_edges_of_final_clustering_are_spanner_edges():
     fc = build.final_clustering
     fc.validate()
     for v in range(g.n):
-        if fc.parent[v] is not None:
-            assert fc.parent[v][1] in spanner
+        if fc.parent[v] >= 0:
+            assert fc.parent_edge[v] in spanner
 
 
 def test_determinism_byte_for_byte():
@@ -278,14 +277,14 @@ def test_join_tie_goes_to_the_first_edge_in_live(live, winner, host, discarded):
     # Node 0 has equal-weight edges into the sampled clusters {1} (edge 0)
     # and {2, 3} (edges 1 and 2); edge 3 is the tree edge of {2, 3}.
     g = build_graph(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (2, 3, 1.0)])
-    d = Clustering(4, [0, 1, 2, 2], {0: 0, 1: 1, 2: 2}, [None, None, None, (2, 3)], [0, 0, 0, 1])
+    d = clustering([0, 1, 2, 2], [None, None, None, (2, 3)], [0, 0, 0, 1])
     d.validate()
     ledger = _EdgeLedger(g.m)
     d_next, survivors, _ = _run_iteration(
-        edge_arrays(g), ledger, np.arange(4), d, {1, 2}, np.array(live), 1, 1, ""
+        edge_arrays(g), ledger, np.arange(4), d, np.array([1, 2]), np.array(live), 1, 1, ""
     )
     assert d_next.cluster_of[0] == host
-    assert d_next.parent[0] == (g.edges[winner][1], winner)
+    assert parent_pairs(d_next)[0] == (g.edges[winner][1], winner)
     assert ledger.state[winner] == SpannerBuild.IN
     # The other edge into the host cluster is superseded; edges into the
     # other cluster are no lighter, so they stay live.
@@ -294,23 +293,34 @@ def test_join_tie_goes_to_the_first_edge_in_live(live, winner, host, discarded):
 
 
 @pytest.mark.parametrize(
-    "cluster_of, center_of, parent, depth_of",
+    "cluster_of, parent, depth",
     [
         # Edge 3 = (2, 3) lies inside the cluster {2, 3}.
-        ([0, 1, 2, 2], {0: 0, 1: 1, 2: 2}, [None, None, None, (2, 3)], [0, 0, 0, 1]),
+        ([0, 1, 2, 2], [None, None, None, (2, 3)], [0, 0, 0, 1]),
         # Node 3, on the live edges 2 and 3, is in no cluster.
-        ([0, 1, 2, None], {0: 0, 1: 1, 2: 2}, [None] * 4, [0, 0, 0, None]),
+        ([0, 1, 2, None], [None] * 4, [0, 0, 0, None]),
     ],
 )
-def test_iteration_rejects_a_live_edge_inside_a_cluster_or_outside_all(
-    cluster_of, center_of, parent, depth_of
-):
+def test_iteration_rejects_a_live_edge_inside_a_cluster_or_outside_all(cluster_of, parent, depth):
     g = build_graph(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (2, 3, 1.0)])
-    d = Clustering(4, cluster_of, center_of, parent, depth_of)
+    d = clustering(cluster_of, parent, depth)
     d.validate()
     with pytest.raises(RuntimeError):
         _run_iteration(
-            edge_arrays(g), _EdgeLedger(g.m), np.arange(4), d, {1}, np.arange(4), 1, 1, ""
+            edge_arrays(g), _EdgeLedger(g.m), np.arange(4), d, np.array([1]), np.arange(4), 1, 1, ""
+        )
+
+
+def test_iteration_rejects_a_live_edge_with_an_end_outside_the_quotient():
+    # Vertex 2 is in no super-node, while the last node, 1, is the sampled
+    # cluster: a gather at index -1 would read that cluster, and edge 1 =
+    # (0, 2) would pass for a second edge from node 0 into it.
+    g = build_graph(3, [(0, 1, 1.0), (0, 2, 1.0)])
+    d = clustering([0, 1], [None, None], [0, 0])
+    with pytest.raises(RuntimeError, match="outside the quotient"):
+        _run_iteration(
+            edge_arrays(g), _EdgeLedger(g.m), np.array([0, 1, -1], np.int32), d, np.array([1]),
+            np.arange(2), 1, 1, "",
         )
 
 
@@ -326,18 +336,18 @@ def test_edge_discarded_from_both_ends_keeps_the_smaller_nodes_rule(joiner, sett
     heavy, join_edge = 0, 3
     cluster_of = [None] * 5
     parent = [None] * 5
-    depth_of = [0] * 5
+    depth = [0] * 5
     for root, member, tree_edge in ((j, q, 4), (s, z, 5)):
         cluster_of[root] = cluster_of[member] = root
-        parent[member], depth_of[member] = (root, tree_edge), 1
+        parent[member], depth[member] = (root, tree_edge), 1
     cluster_of[h] = h
-    d = Clustering(5, cluster_of, {j: j, s: s, h: h}, parent, depth_of)
+    d = clustering(cluster_of, parent, depth)
     d.validate()
     ledger = _EdgeLedger(g.m)
     d_next, survivors, _ = _run_iteration(
-        edge_arrays(g), ledger, np.arange(5), d, {h}, np.array([1, 2, 3, 0]), 1, 1, ""
+        edge_arrays(g), ledger, np.arange(5), d, np.array([h]), np.array([1, 2, 3, 0]), 1, 1, ""
     )
-    assert d_next.parent[j] == (h, join_edge)
+    assert parent_pairs(d_next)[j] == (h, join_edge)
     assert ledger.state[heavy] == SpannerBuild.OUT
     assert _discards(ledger) == {heavy: (1, 1, RULE_JOIN if j < s else RULE_SETTLE)}
     assert [ledger.state[e] for e in (1, 2, 3)] == [SpannerBuild.IN] * 3
@@ -349,7 +359,7 @@ def test_completion_sweep_skips_edges_an_earlier_node_kept():
     # node 1 then sees only edge 1 into {0, 2}, so it keeps that too rather
     # than counting the lighter edge 0 a second time.
     g = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 1.0)])
-    final = Clustering(3, [0, 1, 0], {0: 0, 1: 1}, [None, None, (0, 2)], [0, 0, 1])
+    final = clustering([0, 1, 0], [None, None, (0, 2)], [0, 0, 1])
     final.validate()
     ledger = _EdgeLedger(g.m)
     sweep = _completion_sweep(
