@@ -121,7 +121,10 @@ def _lookup(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 def singleton_clustering(target: WeightedGraph | QuotientGraph) -> Clustering:
     """Every active node of the graph or quotient is its own depth-0 cluster."""
-    count = target.n if isinstance(target, WeightedGraph) else target.super_count
+    if isinstance(target, WeightedGraph):
+        count = target.n
+    else:
+        count = target.super_count
     return Clustering(
         cluster_of=np.arange(count, dtype=np.int32),
         parent=np.full(count, -1, np.int32),
@@ -247,7 +250,6 @@ def compose(
     """
     super_of = quotient.super_of
     n = len(super_of)
-    # The vertices of the outer clusters' super-nodes, and the super-nodes.
     outer_cid = _lookup(outer.cluster_of, super_of)
     member = np.flatnonzero(outer_cid >= 0)
     member_super = super_of[member]
