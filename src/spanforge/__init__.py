@@ -6,7 +6,6 @@ from .graph import (
     WeightedGraph,
     build_graph,
     component_labels,
-    edge_arrays,
     gen_complete,
     gen_cycle,
     gen_gnp,
@@ -30,7 +29,6 @@ from .clustering import (
     singleton_clustering,
 )
 from .spanner import (
-    Params,
     SpannerBuild,
     baswana_sen,
     cluster_merge_spanner,

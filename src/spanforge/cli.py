@@ -19,7 +19,7 @@ from .apsp import ApspBoundError, apsp_experiment
 from .graph import (
     DomainError, EdgeListError, WeightedGraph, load_edge_list, parse_generator_spec, write_edge_list
 )
-from .oracles import ALGORITHMS, Params, audit_stretch, size_study
+from .oracles import ALGORITHMS, audit_stretch, size_study
 from .spanner import SpannerBuild, epoch_count, stretch_bound
 
 
@@ -128,7 +128,8 @@ def cmd_build(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.spanner_out:
-        spanner = WeightedGraph(g.n, [g.edges[eid] for eid in build.spanner_edges])
+        ids = build.spanner_edges
+        spanner = WeightedGraph(g.n, g.u[ids], g.v[ids], g.w[ids])
         write_edge_list(spanner, args.spanner_out)
     status = 0
     if args.audit is not None:
@@ -174,11 +175,13 @@ def cmd_audit(args) -> int:
         print(f"error: spanner has {spanner_graph.n} vertices, input has {g.n}", file=sys.stderr)
         return 2
 
-    index = {(u, v): eid for eid, (u, v, _) in enumerate(g.edges)}
+    ws = g.w.tolist()
+    index = {pair: eid for eid, pair in enumerate(zip(g.u.tolist(), g.v.tolist()))}
     spanner_ids = []
-    for u, v, w in spanner_graph.edges:
+    pairs = zip(spanner_graph.u.tolist(), spanner_graph.v.tolist(), spanner_graph.w.tolist())
+    for u, v, w in pairs:
         eid = index.get((u, v))
-        if eid is None or g.edges[eid][2] != w:
+        if eid is None or ws[eid] != w:
             print(f"error: spanner edge ({u},{v},{w}) not present in input graph", file=sys.stderr)
             return 2
         spanner_ids.append(eid)
@@ -259,9 +262,7 @@ def cmd_study(args) -> int:
             }
             fieldnames = ["trial", "seed", "size", "max_ratio", "mean_ratio", "pairs"]
         else:
-            stats = size_study(
-                args.gen, Params(k=args.k, t=t), args.trials, args.seed0, args.algo
-            )
+            stats = size_study(args.gen, args.k, t, args.trials, args.seed0, args.algo)
             depth = max((len(tr) for tr in stats.epoch_clusters), default=0)
             rows = []
             for i, (size, traj) in enumerate(zip(stats.sizes, stats.epoch_clusters)):

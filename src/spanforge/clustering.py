@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import DomainError, EdgeArrays, WeightedGraph, sort_pairs
+from .graph import DomainError, WeightedGraph, sort_pairs
 
 
 @dataclass
@@ -197,36 +197,36 @@ def grow_clusters(
 
 
 def contract(
-    base: WeightedGraph | QuotientGraph,
+    quotient: QuotientGraph,
     clustering: Clustering,
     surviving_edges: Sequence[int] | np.ndarray,
-    edges: EdgeArrays,
+    g: WeightedGraph,
 ) -> tuple[QuotientGraph, np.ndarray]:
-    """Contract each cluster to a super-node, keeping one edge per pair.
+    """Contract each cluster of ``clustering``, a clustering of the
+    quotient's super-nodes, to a super-node, keeping one edge per pair.
 
-    ``surviving_edges`` are original edge ids, read from ``edges``, whose
-    endpoints must lie in distinct clusters of ``clustering`` (an edge
-    inside a cluster is a contract violation).  Per unordered super-node
+    ``surviving_edges`` are edge ids of ``g`` whose endpoints must lie in
+    distinct clusters of ``clustering`` (an edge inside a cluster is a
+    contract violation).  Per unordered super-node
     pair exactly the minimum-weight edge is kept, ties broken by smaller
     edge id.  Returns the quotient and the sorted dropped duplicates, so the
     caller can mark them discarded; the kept edges are the surviving ones
     not dropped.
     """
-    prev = identity_quotient(base) if isinstance(base, WeightedGraph) else base
     cids = clustering.clusters()
     index_of = np.full(len(clustering.cluster_of), -1, np.int32)
     index_of[cids] = np.arange(len(cids))
     # Vertex -> previous super-node -> cluster -> new super-node.
-    super_of = _lookup(index_of, _lookup(clustering.cluster_of, prev.super_of))
+    super_of = _lookup(index_of, _lookup(clustering.cluster_of, quotient.super_of))
 
     eids = np.asarray(surviving_edges, np.intp)
-    a, b = super_of[edges.u[eids]], super_of[edges.v[eids]]
+    a, b = super_of[g.u[eids]], super_of[g.v[eids]]
     bad = (a < 0) | (b < 0) | (a == b)
     if bad.any():
         raise ValueError(f"surviving edge {eids[bad.argmax()]} does not cross two clusters")
     # Sorted by super-node pair, then (w, edge id): all but a pair's first edge drop.
     by_weight = np.argsort(eids)
-    by_weight = by_weight[np.argsort(edges.w[eids[by_weight]], kind="stable")]
+    by_weight = by_weight[np.argsort(g.w[eids[by_weight]], kind="stable")]
     pair = np.minimum(a, b)[by_weight].astype(np.int64) * len(cids) + np.maximum(a, b)[by_weight]
     rank = np.arange(len(eids))
     sort_pairs(pair, rank, max(len(eids), 1))
@@ -235,7 +235,7 @@ def contract(
 
 
 def compose(
-    outer: Clustering, inner: Clustering, quotient: QuotientGraph, edges: EdgeArrays
+    outer: Clustering, inner: Clustering, quotient: QuotientGraph, g: WeightedGraph
 ) -> Clustering:
     """Expand a clustering of quotient super-nodes onto original vertices.
 
@@ -277,7 +277,7 @@ def compose(
     # parent pointers on y's inner root path, all trees one level at a time.
     attached = np.flatnonzero(outer.parent >= 0)
     eid = outer.parent_edge[attached]
-    x, y = edges.u[eid], edges.v[eid]
+    x, y = g.u[eid], g.v[eid]
     swap = super_of[y] != attached
     x, y = np.where(swap, y, x), np.where(swap, x, y)
     bad = (super_of[y] != attached) | (super_of[x] != outer.parent[attached])
@@ -329,6 +329,7 @@ def check_radius(
     cluster_of, parent, parent_edge = (
         a.tolist() for a in (clustering.cluster_of, clustering.parent, clustering.parent_edge)
     )
+    us, vs, ws = g.u.tolist(), g.v.tolist(), g.w.tolist()
     n = len(cluster_of)
     depth: list[int | None] = [None] * n
     maxw: list[float | None] = [None] * n
@@ -348,7 +349,7 @@ def check_radius(
         for node in reversed(chain):
             pnode = parent[node]
             depth[node] = depth[pnode] + 1
-            maxw[node] = max(maxw[pnode], g.weight(parent_edge[node]))
+            maxw[node] = max(maxw[pnode], ws[parent_edge[node]])
 
     cluster_depths: dict[int, int] = {cid: 0 for cid in clustering.clusters().tolist()}
     for v in range(n):
@@ -372,7 +373,7 @@ def check_radius(
 
     edge_max: dict[int, float] = {}
     for eid in sorted(boundary_edges):
-        x, y, w = g.edges[eid]
+        x, y, w = us[eid], vs[eid], ws[eid]
         worst_path = 0.0
         for end in (x, y):
             if cluster_of[end] < 0:

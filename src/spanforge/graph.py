@@ -1,7 +1,7 @@
 """Weighted undirected graphs: construction, random generators, edge-list I/O.
 
-Vertices are dense ids 0..n-1 and edges live in an indexed list; every
-other module refers to edges by their index (edge id), which stays stable
+Vertices are dense ids 0..n-1 and edges are numpy columns indexed by edge
+id; every other module refers to edges by that index, which stays stable
 through cluster contraction and spanner extraction.
 
 Edge-list text format:
@@ -20,9 +20,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -48,26 +47,38 @@ class DomainError(ValueError):
     """Input outside an operation's stated domain."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Immutable undirected graph with nonnegative edge weights.
 
-    edges: list of (u, v, w) with u < v, no self-loops, no parallel edges.
+    u, v and w are read-only columns indexed by edge id: endpoints u < v
+    (int32) and weights w (float64), with no self-loops and no parallel
+    edges.  The constructor copies them.
     """
 
     n: int
-    edges: list[tuple[int, int, float]]
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("u", np.int32), ("v", np.int32), ("w", np.float64)):
+            column = np.array(getattr(self, name), dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if not (self.u.ndim == self.v.ndim == self.w.ndim == 1
+                and len(self.u) == len(self.v) == len(self.w)):
+            raise ValueError("edge columns must be 1-d and of one length")
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.u)
 
-    def weight(self, eid: int) -> float:
-        return self.edges[eid][2]
-
-    def endpoints(self, eid: int) -> tuple[int, int]:
-        u, v, _ = self.edges[eid]
-        return u, v
+    @property
+    def edges(self) -> list[tuple[int, int, float]]:
+        """The edges as (u, v, w) tuples in edge-id order, built anew on
+        every call, so each call costs O(m)."""
+        return list(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
 
     def validate(self) -> None:
         """Check all structural invariants; raises ValueError on breakage."""
@@ -89,49 +100,43 @@ def build_graph(n: int, raw_edges: Iterable[tuple[int, int, float]]) -> Weighted
 
     Drops self-loops, collapses parallel edges to the minimum weight
     (first occurrence wins ties), and rejects negative or non-finite
-    weights.
+    weights, naming the first bad triple.  Edge ids follow the first
+    occurrence of each vertex pair.
     """
     if n < 1:
         raise DomainError(f"vertex count must be >= 1, got {n}")
-    index: dict[tuple[int, int], int] = {}
-    edges: list[tuple[int, int, float]] = []
-    for u, v, w in raw_edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise DomainError(f"edge ({u},{v}) out of range for n={n}")
-        w = float(w)
-        if not math.isfinite(w):
-            raise DomainError(f"edge ({u},{v}) has non-finite weight")
-        if w < 0:
-            raise DomainError(f"edge ({u},{v}) has negative weight {w}")
-        if u == v:
-            continue
-        key = (u, v) if u < v else (v, u)
-        at = index.get(key)
-        if at is None:
-            index[key] = len(edges)
-            edges.append((key[0], key[1], w))
-        elif w < edges[at][2]:
-            edges[at] = (key[0], key[1], w)
-    return WeightedGraph(n=n, edges=edges)
+    if n > 2**31:
+        raise DomainError(f"vertex count must be <= 2**31 (ids are int32), got {n}")
+    triples = list(raw_edges)
+    try:
+        columns = np.fromiter(triples, [("u", np.int64), ("v", np.int64), ("w", float)], len(triples))
+        u, v, w = columns["u"], columns["v"], columns["w"]
+        valid = bool(np.all((0 <= u) & (u < n) & (0 <= v) & (v < n) & np.isfinite(w) & (w >= 0)))
+    except (OverflowError, ValueError):  # e.g. an id beyond int64; found below
+        valid = False
+    if not valid:
+        for a, b, x in triples:
+            if not (0 <= a < n and 0 <= b < n):
+                raise DomainError(f"edge ({a},{b}) out of range for n={n}")
+            x = float(x)
+            if not math.isfinite(x):
+                raise DomainError(f"edge ({a},{b}) has non-finite weight")
+            if x < 0:
+                raise DomainError(f"edge ({a},{b}) has negative weight {x}")
+    del triples  # often the last reference to the tuples: free them before sorting
 
-
-class EdgeArrays(NamedTuple):
-    """A graph's edges as columns indexed by edge id: endpoints u < v
-    (int32) and weights w (float64)."""
-
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-
-
-def edge_arrays(g: WeightedGraph) -> EdgeArrays:
-    """Column view of g.edges, built once per construction."""
-    m = g.m
-    return EdgeArrays(
-        np.fromiter(map(itemgetter(0), g.edges), np.int32, m),
-        np.fromiter(map(itemgetter(1), g.edges), np.int32, m),
-        np.fromiter(map(itemgetter(2), g.edges), np.float64, m),
-    )
+    pos = np.flatnonzero(u != v)  # input positions of the non-loops
+    lo, hi, w = np.minimum(u[pos], v[pos]), np.maximum(u[pos], v[pos]), w[pos]
+    pair = lo * n + hi
+    # By pair, then weight, then input position: lexsort is stable.
+    order = np.lexsort((w, pair))
+    start = np.flatnonzero(np.diff(pair[order], prepend=-1))
+    # Each pair's lightest triple, earliest among equals, is put at the
+    # slot of the pair's first triple.
+    slot = np.full(len(pos), -1, np.intp)
+    slot[np.minimum.reduceat(order, start)] = order[start]
+    ids = slot[slot >= 0]
+    return WeightedGraph(n, lo[ids], hi[ids], w[ids])
 
 
 def sort_pairs(major: np.ndarray, minor: np.ndarray, bound: int) -> None:
@@ -157,7 +162,7 @@ def edge_id_list(g: WeightedGraph, edge_ids: Iterable[int] | None = None) -> Seq
     """edge_ids as a sequence in their given order (all edges when None).
 
     Raises DomainError for an id outside [0, m): a negative id would
-    otherwise index from the end of g.edges without an error.
+    otherwise index from the end of the columns without an error.
     """
     if edge_ids is None:
         return range(g.m)
@@ -225,13 +230,15 @@ def load_edge_list(source: str | Path | IO[str], n: int | None = None) -> Weight
 
     header_n: int | None = None
     header_line = 0
-    triples: list[tuple[int, int, float]] = []
+    us: list[int] = []
+    vs: list[int] = []
+    ws: list[float] = []
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            if header_n is None and not triples:
+            if header_n is None and not us:
                 parts = line[1:].split()
                 if len(parts) == 2:
                     try:
@@ -253,7 +260,9 @@ def load_edge_list(source: str | Path | IO[str], n: int | None = None) -> Weight
             raise EdgeListError(f"non-finite weight {parts[2]!r}", line=lineno)
         if w < 0:
             raise DomainError(f"line {lineno}: negative weight {w}")
-        triples.append((u, v, w))
+        us.append(u)
+        vs.append(v)
+        ws.append(w)
 
     if header_n is None:
         header_n = n
@@ -262,18 +271,18 @@ def load_edge_list(source: str | Path | IO[str], n: int | None = None) -> Weight
             raise EdgeListError(
                 f"header vertex count {header_n} outside [1, {MAX_VERTICES}]", line=header_line
             )
-        for u, v, _ in triples:
+        for u, v in zip(us, vs):
             if not (0 <= u < header_n and 0 <= v < header_n):
                 raise EdgeListError(
                     f"vertex id out of range [0,{header_n}) in edge ({u},{v})"
                 )
-        return build_graph(header_n, triples)
+        return build_graph(header_n, zip(us, vs, ws))
 
-    ids = sorted({u for u, _, _ in triples} | {v for _, v, _ in triples})
+    ids = sorted(set(us) | set(vs))
     if not ids:
         raise EdgeListError("no vertices found (empty input needs a '# n m' header)")
     remap = {orig: i for i, orig in enumerate(ids)}
-    return build_graph(len(ids), [(remap[u], remap[v], w) for u, v, w in triples])
+    return build_graph(len(ids), zip(map(remap.get, us), map(remap.get, vs), ws))
 
 
 def write_edge_list(g: WeightedGraph, sink: str | Path | IO[str]) -> None:

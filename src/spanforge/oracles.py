@@ -29,7 +29,6 @@ from .graph import (
     parse_generator_spec,
 )
 from .spanner import (
-    Params,
     SpannerBuild,
     baswana_sen,
     cluster_merge_spanner,
@@ -84,8 +83,8 @@ def _shortest_paths(g: WeightedGraph, edge_ids: Iterable[int] | None) -> Callabl
     are not level * w.
     """
     eids = edge_id_list(g, edge_ids)
-    edges = g.edges
-    if all(edges[eid][2] == 1.0 for eid in eids):
+    ws = g.w.tolist()
+    if all(ws[eid] == 1.0 for eid in eids):
         nbrs = neighbour_lists(g, eids)
         return lambda source: _bfs_on(nbrs, source)
     adj = neighbour_lists(g, eids, weighted=True)
@@ -108,12 +107,13 @@ def bellman_ford(g: WeightedGraph, source: int, edge_ids: Iterable[int] | None =
     if not (0 <= source < g.n):
         raise DomainError(f"source {source} out of range")
     eids = edge_id_list(g, edge_ids)
+    us, vs, ws = g.u.tolist(), g.v.tolist(), g.w.tolist()
     dist = [INF] * g.n
     dist[source] = 0.0
     for _ in range(max(1, g.n - 1)):
         changed = False
         for eid in eids:
-            u, v, w = g.edges[eid]
+            u, v, w = us[eid], vs[eid], ws[eid]
             if dist[u] + w < dist[v]:
                 dist[v] = dist[u] + w
                 changed = True
@@ -151,7 +151,7 @@ class StretchAudit:
 
     def csv_rows(self, g: WeightedGraph, spanner: set[int]) -> list[dict]:
         rows = []
-        for eid, (u, v, w) in enumerate(g.edges):
+        for eid, (u, v, w) in enumerate(zip(g.u.tolist(), g.v.tolist(), g.w.tolist())):
             rows.append(
                 {
                     "edge": eid,
@@ -176,18 +176,17 @@ def audit_stretch(g: WeightedGraph, spanner_edges: Iterable[int], bound: float) 
     """
     spanner = set(spanner_edges)
     distances = _shortest_paths(g, spanner)
+    us, vs, ws = g.u.tolist(), g.v.tolist(), g.w.tolist()
     ratios = [1.0] * g.m
     by_source: dict[int, list[int]] = {}
     for eid in range(g.m):
         if eid not in spanner:
-            u, _, _ = g.edges[eid]
-            by_source.setdefault(u, []).append(eid)
+            by_source.setdefault(us[eid], []).append(eid)
 
     for src, eids in by_source.items():
         dist = distances(src)
         for eid in eids:
-            _, v, w = g.edges[eid]
-            d = dist[v]
+            d, w = dist[vs[eid]], ws[eid]
             if w > 0:
                 ratios[eid] = d / w
             else:
@@ -195,7 +194,7 @@ def audit_stretch(g: WeightedGraph, spanner_edges: Iterable[int], bound: float) 
 
     max_ratio = max(ratios, default=1.0)
     failing = [
-        {"edge": eid, "u": g.edges[eid][0], "v": g.edges[eid][1], "w": g.edges[eid][2], "ratio": r}
+        {"edge": eid, "u": us[eid], "v": vs[eid], "w": ws[eid], "ratio": r}
         for eid, r in enumerate(ratios)
         if r > bound
     ]
@@ -251,7 +250,8 @@ class SizeStats:
 
 def size_study(
     gen_spec: str,
-    params: Params,
+    k: int,
+    t: int,
     trials: int,
     seed0: int = 0,
     algorithm: str = "general",
@@ -261,8 +261,9 @@ def size_study(
     Trial i regenerates the graph and reruns the algorithm with seed
     seed0 + i.  Reported references are n**(1+1/k)*(t+log2 k) for the
     size and n**(1-((t+1)**i-1)/k) for the post-epoch-i cluster count,
-    where t is the one the builds ran with (build.t: params.t for
-    general, k for bs, 1 for merge, ceil(sqrt k) for twophase).
+    where t is the one the builds ran with (build.t: the given t for
+    general, k for bs, 1 for merge, ceil(sqrt k) for twophase).  Raises
+    DomainError when a reference overflows a float.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
@@ -277,7 +278,7 @@ def size_study(
     for trial in range(trials):
         g = make(seed0 + trial)
         n = g.n
-        build = run(g, params.k, params.t, seed0 + trial)
+        build = run(g, k, t, seed0 + trial)
         sizes.append(build.size)
         trajectories.append([ep.clusters_end for ep in build.epochs])
 
@@ -287,9 +288,12 @@ def size_study(
         vals = [tr[i] for tr in trajectories if len(tr) > i]
         means.append(sum(vals) / len(vals))
 
-    k, t = params.k, build.t
-    size_ref = n ** (1 + 1 / k) * (t + math.log2(k))
-    cluster_refs = [n ** (1 - ((t + 1) ** (i + 1) - 1) / k) for i in range(depth)]
+    t = build.t
+    try:
+        size_ref = n ** (1 + 1 / k) * (t + math.log2(k))
+        cluster_refs = [n ** (1 - ((t + 1) ** (i + 1) - 1) / k) for i in range(depth)]
+    except OverflowError:
+        raise DomainError(f"size references overflow a float at k = {k}: t is too large") from None
     return SizeStats(
         trials=trials,
         sizes=sizes,
@@ -329,12 +333,14 @@ class RepetitionResult:
 
 def parallel_repetition(
     g: WeightedGraph,
-    params: Params,
+    k: int,
+    t: int,
+    seed: int,
     repetitions: int,
     c_clusters: float = 4.0,
     c_edges: float = 4.0,
 ) -> RepetitionResult:
-    """Run `repetitions` independent seeded builds and select a good one.
+    """Run `repetitions` builds seeded seed, seed + 1, ... and select a good one.
 
     A run passes when every sampling iteration stayed within
     c_clusters * |C| * p sampled clusters (checked only while |C| * p >=
@@ -352,7 +358,7 @@ def parallel_repetition(
     runs: list[dict] = []
     chosen: int | None = None
     for r in range(repetitions):
-        build = general_spanner(g, params.k, params.t, params.seed + r)
+        build = general_spanner(g, k, t, seed + r)
         violations = []
         for ep in build.epochs:
             for idx, it in enumerate(ep.iterations):
@@ -370,7 +376,7 @@ def parallel_repetition(
         runs.append(
             {
                 "repetition": r,
-                "seed": params.seed + r,
+                "seed": seed + r,
                 "size": build.size,
                 "passed": passed,
                 "violations": violations,

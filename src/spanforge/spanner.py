@@ -41,7 +41,7 @@ from .clustering import (
     sample_clusters,
     singleton_clustering,
 )
-from .graph import DomainError, EdgeArrays, WeightedGraph, edge_arrays, sort_pairs
+from .graph import DomainError, WeightedGraph, sort_pairs
 
 # Disposition rule tags for discarded edges.
 RULE_JOIN = "join"                 # superseded while joining a sampled neighbor
@@ -50,21 +50,6 @@ RULE_INTRA = "intra-cluster"       # became internal to a grown cluster
 RULE_DEDUP = "contract-dedup"      # lost the per-super-pair minimum at contraction
 RULE_COMPLETION = "completion"     # superseded in the final completion sweep
 STAGE2 = "stage2-"                 # prefix of every twophase stage-two rule
-
-
-@dataclass(frozen=True)
-class Params:
-    """Run parameters: stretch k, iterations-per-epoch t, and the rng seed."""
-
-    k: int
-    t: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise DomainError(f"k must be >= 1, got {self.k}")
-        if self.t < 1:
-            raise DomainError(f"t must be >= 1, got {self.t}")
 
 
 def stretch_exponent(t: int) -> float:
@@ -273,10 +258,10 @@ class _EdgeLedger:
         )
 
 
-def _check_weight_order(edges: EdgeArrays, live: np.ndarray) -> None:
+def _check_weight_order(g: WeightedGraph, live: np.ndarray) -> None:
     """The engine breaks weight ties by position in live, which therefore
     lists the live edges by weight."""
-    w = edges.w[live]
+    w = g.w[live]
     if np.any(w[1:] < w[:-1]):
         raise RuntimeError("live edges are not sorted by weight")
 
@@ -289,7 +274,7 @@ def _group_starts(key: np.ndarray) -> np.ndarray:
 
 
 def _run_iteration(
-    edges: EdgeArrays,
+    g: WeightedGraph,
     ledger: _EdgeLedger,
     super_of: np.ndarray,
     d: Clustering,
@@ -313,8 +298,8 @@ def _run_iteration(
     The other edges of kept groups are discarded after all adds, an edge
     discarded from both ends taking the smaller node's rule.  prefix is put
     before every discard rule."""
-    _check_weight_order(edges, live)
-    a, b = super_of[edges.u[live]], super_of[edges.v[live]]
+    _check_weight_order(g, live)
+    a, b = super_of[g.u[live]], super_of[g.v[live]]
     if np.any((a < 0) | (b < 0)):
         raise RuntimeError("a live edge has an end outside the quotient")
     ca, cb = d.cluster_of[a], d.cluster_of[b]
@@ -361,7 +346,7 @@ def _run_iteration(
     np.minimum.at(join_pos, best_node[best_into], best_pos[best_into])
     joiner = np.flatnonzero(join_pos < no_join)
     limit = np.full(n_ids, no_join, np.int32)
-    limit[joiner] = np.searchsorted(edges.w[live], edges.w[live[join_pos[joiner]]])
+    limit[joiner] = np.searchsorted(g.w[live], g.w[live[join_pos[joiner]]])
     kept = (best_pos < limit[best_node]) | (best_pos == join_pos[best_node])
     del best_into, best_node, limit
 
@@ -379,12 +364,12 @@ def _run_iteration(
     del node, pos, first, change, superseded, best_pos, kept
 
     join_edge = live[join_pos[joiner]]
-    hosts = super_of[edges.u[join_edge]] + super_of[edges.v[join_edge]] - joiner  # other end
+    hosts = super_of[g.u[join_edge]] + super_of[g.v[join_edge]] - joiner  # other end
     d_next = grow_clusters(d, sampled, joiner, hosts, join_edge)
 
     cluster_of = d_next.cluster_of
     rest = live[ledger.state[live] == SpannerBuild.LIVE]
-    ca, cb = cluster_of[super_of[edges.u[rest]]], cluster_of[super_of[edges.v[rest]]]
+    ca, cb = cluster_of[super_of[g.u[rest]]], cluster_of[super_of[g.v[rest]]]
     if np.any((ca < 0) | (cb < 0)):
         raise RuntimeError("a live edge has an endpoint that left the clustering")
     inside = ca == cb
@@ -402,7 +387,7 @@ def _run_iteration(
 
 
 def _run_epoch(
-    edges: EdgeArrays, ledger: _EdgeLedger, quotient: QuotientGraph, live: np.ndarray,
+    g: WeightedGraph, ledger: _EdgeLedger, quotient: QuotientGraph, live: np.ndarray,
     p: float, steps: int, rng: random.Random, epoch: int, prefix: str = "",
 ) -> tuple[Clustering, np.ndarray, list[IterationTrace]]:
     """Grow singleton clusters of the quotient's super-nodes for steps
@@ -415,25 +400,25 @@ def _run_epoch(
     for j in range(1, steps + 1):
         sampled = sample_clusters(d, p, rng)
         d, live, trace = _run_iteration(
-            edges, ledger, quotient.super_of, d, sampled, live, epoch, j, prefix
+            g, ledger, quotient.super_of, d, sampled, live, epoch, j, prefix
         )
         iterations.append(trace)
     return d, live, iterations
 
 
 def _contract(
-    edges: EdgeArrays, ledger: _EdgeLedger, quotient: QuotientGraph, d: Clustering,
+    g: WeightedGraph, ledger: _EdgeLedger, quotient: QuotientGraph, d: Clustering,
     live: np.ndarray, epoch: int, iteration: int,
 ) -> tuple[QuotientGraph, np.ndarray, int]:
     """Contract d's clusters and discard the duplicate edges contract drops;
     returns the new quotient, the edges still live and the drop count."""
-    quotient, dropped = contract(quotient, d, live, edges)
+    quotient, dropped = contract(quotient, d, live, g)
     ledger.discard(dropped, ledger.code(epoch, iteration, RULE_DEDUP))
     return quotient, live[ledger.state[live] == SpannerBuild.LIVE], len(dropped)
 
 
 def _completion_sweep(
-    edges: EdgeArrays,
+    g: WeightedGraph,
     ledger: _EdgeLedger,
     final: Clustering,
     node_of: np.ndarray,
@@ -451,8 +436,8 @@ def _completion_sweep(
     the cluster at the other end) orders each group by (weight, live
     position), and the first of each group is kept.
     """
-    _check_weight_order(edges, live)
-    a, b = node_of[edges.u[live]], node_of[edges.v[live]]
+    _check_weight_order(g, live)
+    a, b = node_of[g.u[live]], node_of[g.v[live]]
     group = np.minimum(a, b).astype(np.int64)
     if np.any(group < 0):
         raise RuntimeError("a live edge has an end outside the quotient")
@@ -534,12 +519,11 @@ def general_spanner(
         return _take_all(g, k, t, seed, radius_checks)
 
     rng = random.Random(seed)
-    edges = edge_arrays(g)
     ledger = _EdgeLedger(g.m)
     quotient = identity_quotient(g)
     composed = singleton_clustering(g)
     # Weight order, ties by edge id; every later step keeps this order.
-    live = np.argsort(edges.w, kind="stable")
+    live = np.argsort(g.w, kind="stable")
     epochs: list[EpochTrace] = []
     certs: list[RadiusCertificate] | None = [] if radius_checks else None
 
@@ -552,20 +536,20 @@ def general_spanner(
         steps = 0
         while steps < t and spent < k - 1:
             steps, spent = steps + 1, spent + power
-        d, live, iterations = _run_epoch(edges, ledger, quotient, live, p, steps, rng, i)
+        d, live, iterations = _run_epoch(g, ledger, quotient, live, p, steps, rng, i)
 
-        composed = compose(d, composed, quotient, edges)
+        composed = compose(d, composed, quotient, g)
         if certs is not None:
             bound = ((2 * t + 1) ** i - 1) // 2
             certs.append(check_radius(g, composed, live.tolist(), bound))
 
         dedup = 0
         if i < last_epoch:
-            quotient, live, dedup = _contract(edges, ledger, quotient, d, live, i, steps)
+            quotient, live, dedup = _contract(g, ledger, quotient, d, live, i, steps)
         epochs.append(EpochTrace(i, p, iterations, len(d.clusters()), dedup))
 
     phase2 = _completion_sweep(
-        edges, ledger, composed, np.arange(g.n), live, last_epoch, RULE_COMPLETION
+        g, ledger, composed, np.arange(g.n), live, last_epoch, RULE_COMPLETION
     )
     return _finish(g, ledger, k, t, seed, epochs, phase2, composed, certs)
 
@@ -595,8 +579,7 @@ def two_phase_spanner(g: WeightedGraph, k: int, seed: int) -> SpannerBuild:
     its discard rules prefixed "stage2-".  Hop stretch is at most
     2t + (2t+1)(2t-1) + 2t.
     """
-    edges = edge_arrays(g)
-    if np.any(edges.w != 1.0):
+    if np.any(g.w != 1.0):
         raise DomainError("two-phase spanner requires an unweighted graph (unit weights)")
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
@@ -609,9 +592,9 @@ def two_phase_spanner(g: WeightedGraph, k: int, seed: int) -> SpannerBuild:
     quotient = identity_quotient(g)
     live = np.arange(g.m)  # unit weights, so already in weight order
     p = min(1.0, g.n ** (-1.0 / k))
-    d, live, iterations = _run_epoch(edges, ledger, quotient, live, p, t, rng, 1)
-    composed = compose(d, singleton_clustering(g), quotient, edges)
-    quotient, live, dedup = _contract(edges, ledger, quotient, d, live, 1, t)
+    d, live, iterations = _run_epoch(g, ledger, quotient, live, p, t, rng, 1)
+    composed = compose(d, singleton_clustering(g), quotient, g)
+    quotient, live, dedup = _contract(g, ledger, quotient, d, live, 1, t)
     epochs = [EpochTrace(1, p, iterations, len(d.clusters()), dedup)]
     if not len(live):
         return _finish(g, ledger, k, t, seed, epochs, (0, 0), composed, None)
@@ -619,12 +602,12 @@ def two_phase_spanner(g: WeightedGraph, k: int, seed: int) -> SpannerBuild:
     # contract left one live edge per super-node pair.  Stage two lists
     # them by that pair, so unit-weight ties go to the smaller pair.
     super_of = quotient.super_of
-    a, b = super_of[edges.u[live]], super_of[edges.v[live]]
+    a, b = super_of[g.u[live]], super_of[g.v[live]]
     live = live[np.lexsort((np.maximum(a, b), np.minimum(a, b)))]
     p2 = min(1.0, quotient.super_count ** (-1.0 / t))
     rng2 = random.Random(rng.getrandbits(63))
-    d2, live, iterations = _run_epoch(edges, ledger, quotient, live, p2, t - 1, rng2, 2, STAGE2)
+    d2, live, iterations = _run_epoch(g, ledger, quotient, live, p2, t - 1, rng2, 2, STAGE2)
     epochs.append(EpochTrace(2, p2, iterations, len(d2.clusters())))
-    phase2 = _completion_sweep(edges, ledger, d2, super_of, live, 2, STAGE2 + RULE_COMPLETION)
-    final = compose(d2, composed, quotient, edges)
+    phase2 = _completion_sweep(g, ledger, d2, super_of, live, 2, STAGE2 + RULE_COMPLETION)
+    final = compose(d2, composed, quotient, g)
     return _finish(g, ledger, k, t, seed, epochs, phase2, final, None)

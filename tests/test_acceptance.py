@@ -133,7 +133,7 @@ def build_criterion_3():
 
 def build_criterion_5():
     n, k, t, trials = 1000, 5, 1, 30
-    stats = sf.size_study(f"gnp:{n}:0.02:unit", sf.Params(k=k, t=t), trials, seed0=stable_seed("c5"))
+    stats = sf.size_study(f"gnp:{n}:0.02:unit", k, t, trials, seed0=stable_seed("c5"))
     expected_clusters = n ** (1 - 1 / k)
     p1 = n ** (-1 / k)
     sigma = math.sqrt(n * p1 * (1 - p1))
@@ -226,7 +226,7 @@ def build_criterion_9():
     details = []
     for meta in range(20):
         result = sf.parallel_repetition(
-            g, sf.Params(k=4, t=1, seed=stable_seed("c9", meta)), repetitions=16,
+            g, 4, 1, stable_seed("c9", meta), repetitions=16,
             c_clusters=4.0, c_edges=4.0,
         )
         non_fallback += 0 if result.fallback else 1

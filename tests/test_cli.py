@@ -202,12 +202,22 @@ def test_cost_model_examples(tmp_path, schema):
     jsonschema.validate(read_json(out), schema)
 
 
+HUGE_T = "1" + "0" * 400
+
+
 @pytest.mark.parametrize(
-    "t, gamma", [("1", "1e-310"), ("1" + "0" * 400, "1")], ids=["tiny-gamma", "huge-t"]
+    "argv",
+    [
+        ["cost", "--k", "4", "--t", "1", "--gamma", "1e-310"],
+        ["cost", "--k", "4", "--t", HUGE_T, "--gamma", "1"],
+        ["study", "--gen", "gnp:50:0.1:unit", "--k", "4", "--t", HUGE_T, "--trials", "1"],
+    ],
+    ids=["tiny-gamma", "huge-t", "study-huge-t"],
 )
-def test_cost_overflow_is_a_domain_error(t, gamma, capsys):
-    # iterations / gamma overflows a float: an error line and exit 1, not a traceback.
-    assert run_cli(["cost", "--k", "4", "--t", t, "--gamma", gamma]) == 1
+def test_cost_overflow_is_a_domain_error(argv, capsys):
+    # A figure overflows a float (iterations / gamma for cost, the size
+    # references for study): an error line and exit 1, not a traceback.
+    assert run_cli(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
 
 

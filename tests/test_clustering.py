@@ -10,7 +10,6 @@ from spanforge import (
     check_radius,
     compose,
     contract,
-    edge_arrays,
     gen_gnp,
     gen_path,
     gen_star,
@@ -36,7 +35,7 @@ def test_singleton_clustering_on_quotient():
     inner = singleton_clustering(g)
     base = identity_quotient(g)
     two = clustering([0, 0, 2, 2], [None, (0, 0), None, (2, 1)], [0, 1, 0, 1])
-    q, _ = contract(base, two, [], edge_arrays(g))
+    q, _ = contract(base, two, [], g)
     c = singleton_clustering(q)
     assert len(c.clusters()) == 2
 
@@ -137,7 +136,7 @@ def test_grow_contract_violations():
 
 def test_contract_singletons_isomorphic():
     g = gen_gnp(12, 0.4, "unit", 5)
-    q, dropped = contract(g, singleton_clustering(g), range(g.m), edge_arrays(g))
+    q, dropped = contract(identity_quotient(g), singleton_clustering(g), range(g.m), g)
     assert q.super_count == g.n
     assert dropped.tolist() == []
     assert q.super_of.tolist() == list(range(g.n))
@@ -146,7 +145,7 @@ def test_contract_singletons_isomorphic():
 def test_contract_triangle_to_point():
     g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     one = clustering([0, 0, 0], [None, (0, 0), (0, 2)], [0, 1, 1])
-    q, dropped = contract(g, one, [], edge_arrays(g))
+    q, dropped = contract(identity_quotient(g), one, [], g)
     assert q.super_count == 1
     assert q.super_of.tolist() == [0, 0, 0]
     assert dropped.tolist() == []
@@ -157,7 +156,7 @@ def test_contract_four_cycle_keeps_min_crossing():
     two = clustering([0, 0, 2, 2], [None, (0, 0), None, (2, 2)], [0, 1, 0, 1])
     crossing = [eid for eid, (u, v, _) in enumerate(g.edges) if two.cluster_of[u] != two.cluster_of[v]]
     expected_w = min(g.edges[e][2] for e in crossing)  # brute force over crossings
-    q, dropped = contract(g, two, crossing, edge_arrays(g))
+    q, dropped = contract(identity_quotient(g), two, crossing, g)
     kept = set(crossing) - set(dropped)
     assert len(kept) == 1
     assert g.edges[kept.pop()][2] == expected_w
@@ -168,7 +167,7 @@ def test_contract_rejects_internal_edge():
     g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     one = clustering([0, 0, 2], [None, (0, 0), None], [0, 1, 0])
     with pytest.raises(ValueError):
-        contract(g, one, [0], edge_arrays(g))
+        contract(identity_quotient(g), one, [0], g)
 
 
 def test_contract_minimality_bruteforce():
@@ -190,7 +189,7 @@ def test_contract_minimality_bruteforce():
         and grown.cluster_of[v] >= 0
         and grown.cluster_of[u] != grown.cluster_of[v]
     ]
-    q, dropped = contract(g, grown, surviving, edge_arrays(g))
+    q, dropped = contract(identity_quotient(g), grown, surviving, g)
     by_pair: dict[tuple[int, int], list[int]] = {}
     for eid in surviving:
         u, v, _ = g.edges[eid]
@@ -209,14 +208,14 @@ def _two_block_setup(root2=2):
         inner = clustering([0, 0, 2, 2], [None, (0, 0), None, (2, 2)], [0, 1, 0, 1])
     else:
         inner = clustering([0, 0, 3, 3], [None, (0, 0), (3, 2), None], [0, 1, 1, 0])
-    q, _ = contract(g, inner, [1], edge_arrays(g))
+    q, _ = contract(identity_quotient(g), inner, [1], g)
     return g, inner, q
 
 
 def test_compose_outer_singletons_is_inner():
     g, inner, q = _two_block_setup()
     outer = singleton_clustering(q)
-    composed = compose(outer, inner, q, edge_arrays(g))
+    composed = compose(outer, inner, q, g)
     assert composed.cluster_of.tolist() == inner.cluster_of.tolist()
     assert parent_pairs(composed) == parent_pairs(inner)
     assert composed.depth.tolist() == inner.depth.tolist()
@@ -227,7 +226,7 @@ def test_compose_inner_singletons_matches_outer():
     inner = singleton_clustering(g)
     q = identity_quotient(g)
     outer = clustering([0, 0, 0], [None, (0, 0), (1, 1)], [0, 1, 2])
-    composed = compose(outer, inner, q, edge_arrays(g))
+    composed = compose(outer, inner, q, g)
     assert composed.cluster_of.tolist() == outer.cluster_of.tolist()
     assert composed.depth.tolist() == outer.depth.tolist()
 
@@ -236,7 +235,7 @@ def test_compose_reroots_absorbed_block():
     g, inner, q = _two_block_setup(root2=3)
     # Outer: super 1 (block {2,3}) hangs under super 0 via edge 1 = (1, 2).
     outer = clustering([0, 0], [None, (0, 1)], [0, 1])
-    composed = compose(outer, inner, q, edge_arrays(g))
+    composed = compose(outer, inner, q, g)
     composed.validate()
     assert composed.clusters().tolist() == [0]
     assert parent_pairs(composed)[2] == (1, 1)  # entry vertex rerooted onto the attach edge
@@ -256,10 +255,10 @@ def test_compose_depth_bound_depth1_over_depth1():
         [None, (0, 0), None, (2, 1), None, (4, 2)],
         [0, 1, 0, 1, 0, 1],
     )
-    q, _ = contract(g, inner, [3, 4], edge_arrays(g))
+    q, _ = contract(identity_quotient(g), inner, [3, 4], g)
     s0, s1 = q.super_of[0], q.super_of[2]
     outer_d1 = clustering([s0, s0, None], [None, (s0, 3), None], [0, 1, None])
-    composed = compose(outer_d1, inner, q, edge_arrays(g))
+    composed = compose(outer_d1, inner, q, g)
     composed.validate()
     assert composed.depth.max() <= 1 * (2 * 1 + 1) + 1
 
@@ -343,5 +342,5 @@ def test_compose_rejects_inconsistent_input(inner, outer, message):
     inner = blocks if inner is None else clustering(*inner)
     outer = singleton_clustering(q) if outer is None else clustering(*outer)
     with pytest.raises(ValueError, match=message):
-        compose(outer, inner, q, edge_arrays(g))
+        compose(outer, inner, q, g)
 

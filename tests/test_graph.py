@@ -194,19 +194,19 @@ def test_header_error_names_the_header_line():
 
 def test_validate_raises_value_error():
     with pytest.raises(ValueError, match="weight"):
-        WeightedGraph(2, [(0, 1, -1.0)]).validate()
+        WeightedGraph(2, [0], [1], [-1.0]).validate()
     with pytest.raises(ValueError, match="not 0 <= u < v < n"):
-        WeightedGraph(2, [(1, 0, 1.0)]).validate()
+        WeightedGraph(2, [1], [0], [1.0]).validate()
     with pytest.raises(ValueError, match="parallel"):
-        WeightedGraph(2, [(0, 1, 1.0), (0, 1, 2.0)]).validate()
+        WeightedGraph(2, [0, 0], [1, 1], [1.0, 2.0]).validate()
 
 
 def test_validate_raises_under_python_O(tmp_path):
     # Under -O a bare assert would vanish and both broken inputs would pass.
     script = (
         "from spanforge import WeightedGraph, singleton_clustering\n"
-        "g = WeightedGraph(2, [(1, 0, -1.0)])\n"
-        "c = singleton_clustering(WeightedGraph(2, []))\n"
+        "g = WeightedGraph(2, [1], [0], [-1.0])\n"
+        "c = singleton_clustering(WeightedGraph(2, [], [], []))\n"
         "c.cluster_of[1] = 0\n"
         "for check in (g.validate, c.validate):\n"
         "    try:\n"
@@ -223,11 +223,85 @@ def test_validate_raises_under_python_O(tmp_path):
     assert proc.stdout.splitlines() == ["edge 0 endpoints (1, 0) not 0 <= u < v < n", "root 1 not in own cluster"]
 
 
-def test_edge_arrays_match_edges():
+def reference_build_graph(n, raw_edges):
+    """build_graph as a dict loop over the triples: the reference for the
+    sort-based one.  Returns the edge list."""
+    if n < 1:
+        raise DomainError(f"vertex count must be >= 1, got {n}")
+    index = {}
+    edges = []
+    for u, v, w in raw_edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise DomainError(f"edge ({u},{v}) out of range for n={n}")
+        w = float(w)
+        if not math.isfinite(w):
+            raise DomainError(f"edge ({u},{v}) has non-finite weight")
+        if w < 0:
+            raise DomainError(f"edge ({u},{v}) has negative weight {w}")
+        if u == v:
+            continue
+        key = (u, v) if u < v else (v, u)
+        at = index.get(key)
+        if at is None:
+            index[key] = len(edges)
+            edges.append((key[0], key[1], w))
+        elif w < edges[at][2]:
+            edges[at] = (key[0], key[1], w)
+    return edges
+
+
+@st.composite
+def raw_triples(draw):
+    """(n, triples) over a few vertices, so that self-loops, reversed and
+    repeated pairs and equal weights are common; in about half the
+    examples a run of possibly bad triples (an id out of range or beyond
+    int64, a NaN, infinite or negative weight) is inserted."""
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    weight = st.sampled_from([0.0, -0.0, 1.0, 2.5]) | st.floats(0, 10)
+    triples = draw(st.lists(st.tuples(vertex, vertex, weight), max_size=30))
+    if draw(st.booleans()):
+        bad_id = vertex | st.sampled_from([-1, n, 2**31, 2**63, 2**64, -(2**63) - 1])
+        bad_weight = weight | st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -0.5])
+        at = draw(st.integers(0, len(triples)))
+        triples[at:at] = draw(st.lists(st.tuples(bad_id, bad_id, bad_weight), min_size=1, max_size=3))
+    return n, triples
+
+
+@settings(max_examples=300)
+@given(raw_triples())
+def test_build_graph_matches_the_reference(case):
+    n, triples = case
+    try:
+        expected = reference_build_graph(n, triples)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            build_graph(n, iter(triples))
+        assert str(got.value) == str(exc)
+        return
+    g = build_graph(n, iter(triples))
+    assert g.n == n
+    assert g.edges == expected
+    assert [math.copysign(1, w) for _, _, w in g.edges] == [math.copysign(1, w) for _, _, w in expected]
+    g.validate()
+
+
+def test_graph_columns_are_read_only_int32_int32_float64():
     g = gen_gnp(30, 0.3, ("uniform", 1, 9), seed=2)
-    u, v, w = spanforge.graph.edge_arrays(g)
-    assert (u.dtype, v.dtype, w.dtype) == (np.int32, np.int32, np.float64)
-    assert list(zip(u.tolist(), v.tolist(), w.tolist())) == g.edges
+    assert (g.u.dtype, g.v.dtype, g.w.dtype) == (np.int32, np.int32, np.float64)
+    assert list(zip(g.u.tolist(), g.v.tolist(), g.w.tolist())) == g.edges
+    for column in (g.u, g.v, g.w):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            column += 1
+    # The constructor copies: the caller's arrays stay writable and apart.
+    w = np.array([1.0])
+    h = WeightedGraph(2, np.array([0]), np.array([1]), w)
+    w[0] = 5.0
+    assert h.edges == [(0, 1, 1.0)] and w.flags.writeable
+    with pytest.raises(DomainError, match="int32"):
+        build_graph(2**31 + 1, [])
 
 
 @pytest.mark.parametrize("offset", [0, 2**62])

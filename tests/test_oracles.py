@@ -4,7 +4,6 @@ import pytest
 
 from spanforge import (
     DomainError,
-    Params,
     audit_stretch,
     baswana_sen,
     bellman_ford,
@@ -77,28 +76,28 @@ def test_audit_cluster_merge_gnp():
 
 
 def test_size_study_k1_exact():
-    stats = size_study("gnp:60:0.15:unit", Params(k=1), trials=3, seed0=4)
+    stats = size_study("gnp:60:0.15:unit", 1, 1, trials=3, seed0=4)
     for trial, size in enumerate(stats.sizes):
         assert size == gen_gnp(60, 0.15, "unit", 4 + trial).m
 
 
 def test_size_study_empty_graph():
-    stats = size_study("gnp:30:0.0:unit", Params(k=3), trials=2, seed0=0)
+    stats = size_study("gnp:30:0.0:unit", 3, 1, trials=2, seed0=0)
     assert stats.sizes == [0, 0]
 
 
 def test_size_study_references_and_trials():
-    stats = size_study("gnp:200:0.03:unit", Params(k=5, t=1), trials=5, seed0=7)
+    stats = size_study("gnp:200:0.03:unit", 5, 1, trials=5, seed0=7)
     assert stats.trials == 5
     assert stats.size_reference == pytest.approx(200 ** 1.2 * (1 + math.log2(5)))
     assert stats.cluster_references[0] == pytest.approx(200 ** (1 - 1 / 5))
     assert len(stats.epoch_cluster_means) == len(stats.epoch_clusters[0])
     with pytest.raises(DomainError):
-        size_study("gnp:10:0.1:unit", Params(k=2), trials=0)
+        size_study("gnp:10:0.1:unit", 2, 1, trials=0)
 
 
 def test_size_study_uses_the_t_the_algorithm_ran_with():
-    stats = size_study("gnp:60:0.2:unit", Params(k=3, t=1), trials=2, seed0=1, algorithm="bs")
+    stats = size_study("gnp:60:0.2:unit", 3, 1, trials=2, seed0=1, algorithm="bs")
     assert stats.t == 3 and stats.as_dict()["params"] == {"k": 3, "t": 3}
     assert stats.size_reference == pytest.approx(60 ** (1 + 1 / 3) * (3 + math.log2(3)))
     assert stats.cluster_references == [pytest.approx(60 ** (1 - (4 - 1) / 3))]
@@ -106,26 +105,26 @@ def test_size_study_uses_the_t_the_algorithm_ran_with():
 
 def test_parallel_repetition_single_run():
     g = gen_gnp(50, 0.1, "unit", 0)
-    res = parallel_repetition(g, Params(k=3, t=1, seed=5), repetitions=1)
+    res = parallel_repetition(g, 3, 1, 5, repetitions=1)
     assert res.chosen == 0
     assert len(res.runs) == 1
 
 
 def test_parallel_repetition_k1_selects_first():
     g = gen_gnp(30, 0.2, "unit", 0)
-    res = parallel_repetition(g, Params(k=1, seed=3), repetitions=4)
+    res = parallel_repetition(g, 1, 1, 3, repetitions=4)
     assert res.chosen == 0 and not res.fallback
 
 
 def test_parallel_repetition_rejects_zero():
     g = gen_star(4)
     with pytest.raises(DomainError):
-        parallel_repetition(g, Params(k=2), repetitions=0)
+        parallel_repetition(g, 2, 1, 0, repetitions=0)
 
 
 def test_parallel_repetition_selection_keeps_stretch():
     g = gen_gnp(150, 0.08, "unit", 6)
-    res = parallel_repetition(g, Params(k=4, t=1, seed=11), repetitions=8)
+    res = parallel_repetition(g, 4, 1, 11, repetitions=8)
     bound = 2 * 4 ** stretch_exponent(1)
     assert audit_stretch(g, res.build.spanner_edges, bound).passed
     assert res.runs[res.chosen]["size"] == res.build.size

@@ -6,7 +6,6 @@ from cluster_lists import clustering, parent_pairs
 
 from spanforge import (
     DomainError,
-    Params,
     audit_stretch,
     baswana_sen,
     build_graph,
@@ -17,12 +16,13 @@ from spanforge import (
     gen_path,
     gen_star,
     general_spanner,
+    parallel_repetition,
     singleton_clustering,
+    size_study,
     stretch_bound,
     stretch_exponent,
     two_phase_spanner,
 )
-from spanforge.graph import edge_arrays
 from spanforge.spanner import (
     RULE_JOIN,
     RULE_SETTLE,
@@ -237,10 +237,11 @@ def test_seed_sensitivity_both_valid():
 
 
 def test_params_validation():
-    with pytest.raises(DomainError):
-        Params(k=0)
-    with pytest.raises(DomainError):
-        Params(k=2, t=0)
+    for k, t in [(0, 1), (2, 0)]:
+        with pytest.raises(DomainError):
+            size_study("path:4", k, t, trials=1)
+        with pytest.raises(DomainError):
+            parallel_repetition(gen_path(4), k, t, 0, repetitions=1)
     with pytest.raises(DomainError):
         general_spanner(gen_path(4), 0, 1, 0)
 
@@ -281,7 +282,7 @@ def test_join_tie_goes_to_the_first_edge_in_live(live, winner, host, discarded):
     d.validate()
     ledger = _EdgeLedger(g.m)
     d_next, survivors, _ = _run_iteration(
-        edge_arrays(g), ledger, np.arange(4), d, np.array([1, 2]), np.array(live), 1, 1, ""
+        g, ledger, np.arange(4), d, np.array([1, 2]), np.array(live), 1, 1, ""
     )
     assert d_next.cluster_of[0] == host
     assert parent_pairs(d_next)[0] == (g.edges[winner][1], winner)
@@ -307,7 +308,7 @@ def test_iteration_rejects_a_live_edge_inside_a_cluster_or_outside_all(cluster_o
     d.validate()
     with pytest.raises(RuntimeError):
         _run_iteration(
-            edge_arrays(g), _EdgeLedger(g.m), np.arange(4), d, np.array([1]), np.arange(4), 1, 1, ""
+            g, _EdgeLedger(g.m), np.arange(4), d, np.array([1]), np.arange(4), 1, 1, ""
         )
 
 
@@ -319,7 +320,7 @@ def test_iteration_rejects_a_live_edge_with_an_end_outside_the_quotient():
     d = clustering([0, 1], [None, None], [0, 0])
     with pytest.raises(RuntimeError, match="outside the quotient"):
         _run_iteration(
-            edge_arrays(g), _EdgeLedger(g.m), np.array([0, 1, -1], np.int32), d, np.array([1]),
+            g, _EdgeLedger(g.m), np.array([0, 1, -1], np.int32), d, np.array([1]),
             np.arange(2), 1, 1, "",
         )
 
@@ -345,7 +346,7 @@ def test_edge_discarded_from_both_ends_keeps_the_smaller_nodes_rule(joiner, sett
     d.validate()
     ledger = _EdgeLedger(g.m)
     d_next, survivors, _ = _run_iteration(
-        edge_arrays(g), ledger, np.arange(5), d, np.array([h]), np.array([1, 2, 3, 0]), 1, 1, ""
+        g, ledger, np.arange(5), d, np.array([h]), np.array([1, 2, 3, 0]), 1, 1, ""
     )
     assert parent_pairs(d_next)[j] == (h, join_edge)
     assert ledger.state[heavy] == SpannerBuild.OUT
@@ -363,7 +364,7 @@ def test_completion_sweep_skips_edges_an_earlier_node_kept():
     final.validate()
     ledger = _EdgeLedger(g.m)
     sweep = _completion_sweep(
-        edge_arrays(g), ledger, final, np.arange(3), np.array([0, 1]), 1, "completion"
+        g, ledger, final, np.arange(3), np.array([0, 1]), 1, "completion"
     )
     assert sweep == (2, 0)
     assert ledger.state[0] == ledger.state[1] == SpannerBuild.IN
