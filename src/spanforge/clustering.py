@@ -207,11 +207,10 @@ def contract(
 
     ``surviving_edges`` are edge ids of ``g`` whose endpoints must lie in
     distinct clusters of ``clustering`` (an edge inside a cluster is a
-    contract violation).  Per unordered super-node
-    pair exactly the minimum-weight edge is kept, ties broken by smaller
-    edge id.  Returns the quotient and the sorted dropped duplicates, so the
-    caller can mark them discarded; the kept edges are the surviving ones
-    not dropped.
+    contract violation).  Per unordered super-node pair exactly the
+    minimum-weight edge is kept, ties broken by smaller edge id.  Returns
+    the quotient and the sorted dropped duplicates, so the caller can mark
+    them discarded; the kept edges are the surviving ones not dropped.
     """
     cids = clustering.clusters()
     index_of = np.full(len(clustering.cluster_of), -1, np.int32)

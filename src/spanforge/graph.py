@@ -66,9 +66,6 @@ class WeightedGraph:
             column = np.array(getattr(self, name), dtype)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        if not (self.u.ndim == self.v.ndim == self.w.ndim == 1
-                and len(self.u) == len(self.v) == len(self.w)):
-            raise ValueError("edge columns must be 1-d and of one length")
 
     @property
     def m(self) -> int:
@@ -84,6 +81,8 @@ class WeightedGraph:
         """Check all structural invariants; raises ValueError on breakage."""
         if self.n < 1:
             raise ValueError(f"vertex count {self.n} < 1")
+        if not (self.u.ndim == self.v.ndim == self.w.ndim == 1 and self.m == len(self.v) == len(self.w)):
+            raise ValueError("edge columns must be 1-d and of one length")
         seen_pairs = set()
         for eid, (u, v, w) in enumerate(self.edges):
             if not 0 <= u < v < self.n:
@@ -292,8 +291,11 @@ def write_edge_list(g: WeightedGraph, sink: str | Path | IO[str]) -> None:
             write_edge_list(g, fh)
         return
     sink.write(f"# {g.n} {g.m}\n")
-    for u, v, w in g.edges:
-        sink.write(f"{u} {v} {w!r}\n")
+    # A slice at a time, so that only one slice's Python numbers are alive.
+    for start in range(0, g.m, 4096):
+        part = slice(start, start + 4096)
+        for u, v, w in zip(g.u[part].tolist(), g.v[part].tolist(), g.w[part].tolist()):
+            sink.write(f"{u} {v} {w!r}\n")
 
 
 # ----------------------------- generators ----------------------------------

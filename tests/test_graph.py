@@ -199,6 +199,8 @@ def test_validate_raises_value_error():
         WeightedGraph(2, [1], [0], [1.0]).validate()
     with pytest.raises(ValueError, match="parallel"):
         WeightedGraph(2, [0, 0], [1, 1], [1.0, 2.0]).validate()
+    with pytest.raises(ValueError, match="one length"):
+        WeightedGraph(3, [0, 1], [1, 2], [1.0]).validate()
 
 
 def test_validate_raises_under_python_O(tmp_path):
