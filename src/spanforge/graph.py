@@ -181,9 +181,9 @@ def neighbour_lists(
     or (y, w) when weighted.  Edge ids are checked by edge_id_list.
     """
     nbrs: list[list] = [[] for _ in range(g.n)]
-    edges = g.edges
+    us, vs, ws = g.u.tolist(), g.v.tolist(), g.w.tolist()
     for eid in edge_id_list(g, edge_ids):
-        u, v, w = edges[eid]
+        u, v, w = us[eid], vs[eid], ws[eid]
         if weighted:
             nbrs[u].append((v, w))
             nbrs[v].append((u, w))
