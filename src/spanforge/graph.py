@@ -126,10 +126,14 @@ def build_graph(n: int, raw_edges: Iterable[tuple[int, int, float]]) -> Weighted
 
     pos = np.flatnonzero(u != v)  # input positions of the non-loops
     lo, hi, w = np.minimum(u[pos], v[pos]), np.maximum(u[pos], v[pos]), w[pos]
-    pair = lo * n + hi
-    # By pair, then weight, then input position: lexsort is stable.
-    order = np.lexsort((w, pair))
-    start = np.flatnonzero(np.diff(pair[order], prepend=-1))
+    del columns, u, v  # free them before the sort makes its index arrays
+    # By pair, then weight, then input position: sort (pair, rank) by the
+    # triples' rank in a stable weight order, then map the ranks back.
+    rank = np.argsort(w, kind="stable")
+    pair, order = (lo * n + hi)[rank], np.arange(len(pos))
+    sort_pairs(pair, order, len(pos))
+    order = rank[order]
+    start = np.flatnonzero(np.diff(pair, prepend=-1))
     # Each pair's lightest triple, earliest among equals, is put at the
     # slot of the pair's first triple.
     slot = np.full(len(pos), -1, np.intp)

@@ -13,7 +13,9 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .graph import (
     DomainError,
@@ -75,16 +77,89 @@ def _bfs_on(nbrs: list[list[int]], source: int) -> list[float]:
     return dist
 
 
-def _shortest_paths(g: WeightedGraph, edge_ids: Iterable[int] | None) -> Callable[[int], list[float]]:
-    """Exact single-source distances on the subgraph on edge_ids.
+# Bounds on the all-sources BFS's temporaries, in 64-bit words: the
+# frontier gathered over every arc, and the new bits unpacked per step.
+_GATHER_WORDS = 2**20
+_EXTRACT_WORDS = 4096
+_WORD = np.dtype("<u8")  # little-endian, so the uint8 view is host-independent
 
-    BFS when every edge weighs exactly 1.0; heap Dijkstra otherwise.
-    Other equal weights keep Dijkstra: its running sums (0.1 + 0.1 + ...)
-    are not level * w.
+
+def _bfs_all_sources(g: WeightedGraph, eids: Sequence[int]) -> np.ndarray:
+    """Unit-weight distance matrix of the subgraph on eids (checked ids,
+    repeats allowed) by one BFS from every source at once.
+
+    Bit s % 64 of word s // 64 stands for source s, as in Then et al.,
+    "The More the Merrier: Efficient Multi-Source Graph Traversal" (VLDB
+    2014).  Per level, each vertex ORs its neighbours' frontier words,
+    keeps the bits it has not seen, and takes the level as its distance
+    from those sources; a word drops out once its sources reach nothing
+    new.  The work grows with levels * n**2 / 64, so long paths are the
+    slow case.  Distances are _bfs_on's floats, and they are symmetric,
+    so row y is written with y's distance from every source.
     """
+    n = g.n
+    out = np.full((n, n), INF)
+    np.fill_diagonal(out, 0.0)
+    ids = np.asarray(eids, dtype=np.intp)
+    heads = np.concatenate((g.v[ids], g.u[ids]))
+    tails = np.concatenate((g.u[ids], g.v[ids]))
+    if not len(heads):
+        return out
+    order = np.argsort(heads, kind="stable")
+    heads, tails = heads[order], tails[order]
+    # One reduceat segment per vertex with an arc: a vertex with none has
+    # no segment, since reduceat over an empty one returns an element.
+    # Every tail is also a head, so vertices are indexed by their
+    # position in `dest` from here on.
+    starts = np.flatnonzero(np.diff(heads, prepend=-1))
+    dest = heads[starts]
+    tail_pos = np.searchsorted(dest, tails)
+    words = -(-n // 64)
+    block = max(1, _GATHER_WORDS // len(tails))
+    for first in range(0, words, block):
+        word_ids = np.arange(first, min(words, first + block))
+        own = np.arange(*np.searchsorted(dest, [64 * first, 64 * (first + block)]))
+        visited = np.zeros((len(word_ids), len(dest)), _WORD)
+        visited[dest[own] // 64 - first, own] = np.uint64(1) << (dest[own] % 64).astype(_WORD)
+        frontier = visited.copy()
+        level = 0.0
+        while len(word_ids):
+            level += 1.0
+            new = np.bitwise_or.reduceat(frontier[:, tail_pos], starts, axis=1)
+            new &= ~visited
+            visited |= new
+            _write_level(out, new, dest, word_ids, level)
+            going = new.any(axis=1)
+            word_ids, visited, frontier = word_ids[going], visited[going], new[going]
+    return out
+
+
+def _write_level(out: np.ndarray, new: np.ndarray, dest: np.ndarray, word_ids: np.ndarray, level: float) -> None:
+    """Set out[dest[j], s] = level for each bit s of column j of new,
+    unpacking at most _EXTRACT_WORDS nonzero words at a time."""
+    # Flat indices and flatnonzero: numpy's 2-d nonzero is several times slower.
+    nonzero = np.flatnonzero(new)
+    for lo in range(0, len(nonzero), _EXTRACT_WORDS):
+        at = nonzero[lo : lo + _EXTRACT_WORDS]
+        packed = np.ascontiguousarray(np.take(new, at), _WORD).view(np.uint8)
+        hits = np.flatnonzero(np.unpackbits(packed, bitorder="little").view(bool))
+        word, col = np.divmod(at, new.shape[1])
+        which = hits >> 6
+        out[dest[col][which], (64 * word_ids[word])[which] + (hits & 63)] = level
+
+
+def _all_unit(g: WeightedGraph, eids: Sequence[int]) -> bool:
+    """Whether every edge in eids weighs exactly 1.0, the case the BFS
+    routines take.  Other equal weights keep Dijkstra: its running sums
+    (0.1 + 0.1 + ...) are not level * w."""
+    return bool(np.all(g.w[np.asarray(eids, dtype=np.intp)] == 1.0))
+
+
+def _shortest_paths(g: WeightedGraph, edge_ids: Iterable[int] | None) -> Callable[[int], list[float]]:
+    """Exact single-source distances on the subgraph on edge_ids: BFS
+    when every edge weighs exactly 1.0, heap Dijkstra otherwise."""
     eids = edge_id_list(g, edge_ids)
-    ws = g.w.tolist()
-    if all(ws[eid] == 1.0 for eid in eids):
+    if _all_unit(g, eids):
         nbrs = neighbour_lists(g, eids)
         return lambda source: _bfs_on(nbrs, source)
     adj = neighbour_lists(g, eids, weighted=True)

@@ -82,6 +82,27 @@ def test_report_dict_timing_opt_in():
     assert rep.pairs > 0
 
 
+def test_query_seconds_time_the_spanner_sweep_only(monkeypatch):
+    # The exact sweep checks the answers; answering is the spanner sweep.
+    events = []
+    clock = iter([0.0, 1.0, 3.0, 7.0])
+    real = spanforge.apsp.apsp_matrix
+
+    def matrix(g, edge_ids=None):
+        events.append("exact" if edge_ids is None else "spanner")
+        return real(g, edge_ids)
+
+    def perf_counter():
+        events.append("clock")
+        return next(clock)
+
+    monkeypatch.setattr(spanforge.apsp, "apsp_matrix", matrix)
+    monkeypatch.setattr(spanforge.apsp.time, "perf_counter", perf_counter)
+    rep = apsp_experiment(gen_gnp(30, 0.3, "unit", 4), 3, 1, 1)
+    assert events == ["clock", "clock", "exact", "clock", "spanner", "clock"]
+    assert (rep.build_seconds, rep.query_seconds) == (1.0, 4.0)
+
+
 def test_memory_budget_reported_not_enforced():
     from spanforge import coordinator_budget
 

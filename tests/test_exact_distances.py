@@ -1,6 +1,7 @@
-"""The exact oracles' two paths: BFS on unit weights, heap Dijkstra else.
+"""The exact oracles' paths: BFS on unit weights (one source at a time
+for the audit, all sources at once for apsp_matrix), heap Dijkstra else.
 
-Both must give the same floats.  The public dijkstra() and bellman_ford()
+All must give the same floats.  The public dijkstra() and bellman_ford()
 stay heap-based and relaxation-based, so they are the cross-checks here.
 """
 
@@ -17,19 +18,43 @@ from spanforge import (
     build_graph,
     component_labels,
     dijkstra,
+    gen_complete,
     gen_gnp,
     gen_grid,
     gen_path,
+    gen_star,
     general_spanner,
     two_phase_spanner,
 )
+from spanforge import oracles
 from spanforge.graph import neighbour_lists
 from spanforge.oracles import _bfs_on, _dijkstra_on
 
+# apsp_matrix packs 64 sources to a word: n = 63, 64, 65 and 129 straddle
+# word boundaries, and vertices with no edge get no reduceat segment.
 UNIT_GRAPHS = {
     "gnp": lambda: gen_gnp(200, 0.04, "unit", 5),
     "grid": lambda: gen_grid(15, 12),
     "path": lambda: gen_path(60),
+    "n1": lambda: gen_path(1),
+    "n2": lambda: gen_path(2),
+    "gnp63": lambda: gen_gnp(63, 0.08, "unit", 1),
+    "gnp64": lambda: gen_gnp(64, 0.08, "unit", 2),
+    "gnp65": lambda: gen_gnp(65, 0.08, "unit", 3),
+    "gnp129": lambda: gen_gnp(129, 0.03, "unit", 4),
+    "isolated": lambda: build_graph(70, [(i, i + 1, 1.0) for i in range(10, 40)]),
+    "two-components": lambda: build_graph(  # a path on 0..63 and a cycle on 64..129
+        130, [(i, i + 1, 1.0) for i in range(129) if i != 63] + [(64, 129, 1.0)]
+    ),
+    "star": lambda: gen_star(100),
+    "complete": lambda: gen_complete(70),
+}
+
+SUBGRAPHS = {
+    "graph": lambda g: None,
+    "spanner": lambda g: general_spanner(g, 3, 1, 7).spanner_edges,
+    "empty": lambda g: [],
+    "repeated": lambda g: [e for e in reversed(range(g.m)) for _ in range(2)],
 }
 
 
@@ -38,16 +63,26 @@ def heap_rows(g, eids):
     return np.array([_dijkstra_on(adj, s) for s in range(g.n)], dtype=np.float64)
 
 
-@pytest.mark.parametrize("subgraph", ["graph", "spanner"])
+@pytest.mark.parametrize("subgraph", sorted(SUBGRAPHS))
 @pytest.mark.parametrize("name", sorted(UNIT_GRAPHS))
 def test_bfs_rows_equal_heap_dijkstra(name, subgraph):
     g = UNIT_GRAPHS[name]()
-    eids = None if subgraph == "graph" else general_spanner(g, 3, 1, 7).spanner_edges
+    eids = SUBGRAPHS[subgraph](g)
     expected = heap_rows(g, eids).tobytes()
     nbrs = neighbour_lists(g, eids)
     bfs = np.array([_bfs_on(nbrs, s) for s in range(g.n)], dtype=np.float64)
     assert bfs.tobytes() == expected
     assert apsp_matrix(g, eids).tobytes() == expected
+
+
+@pytest.mark.parametrize("name", ["gnp129", "two-components", "complete"])
+def test_all_sources_bfs_in_small_blocks_and_steps(name, monkeypatch):
+    # One word per block and per unpacking step, so that the loops over
+    # blocks and steps run many times on a small graph.
+    monkeypatch.setattr(oracles, "_GATHER_WORDS", 1)
+    monkeypatch.setattr(oracles, "_EXTRACT_WORDS", 1)
+    g = UNIT_GRAPHS[name]()
+    assert apsp_matrix(g).tobytes() == heap_rows(g, None).tobytes()
 
 
 def test_bfs_rows_equal_bellman_ford_on_random_unit_graphs():

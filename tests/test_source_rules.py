@@ -1,6 +1,7 @@
 """Rules on the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import spanforge
@@ -30,4 +31,21 @@ def test_only_graph_module_reads_the_edges_view():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Attribute) and node.attr == "edges"
     ]
+    assert found == []
+
+
+def test_package_imports_only_the_standard_library_numpy_and_itself():
+    # numpy is the one declared dependency; anything else installed in a
+    # test environment (scipy, say) would pass here and break installs.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "spanforge"}
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] not in allowed]
     assert found == []
