@@ -13,7 +13,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -155,15 +155,120 @@ def _all_unit(g: WeightedGraph, eids: Sequence[int]) -> bool:
     return bool(np.all(g.w[np.asarray(eids, dtype=np.intp)] == 1.0))
 
 
-def _shortest_paths(g: WeightedGraph, edge_ids: Iterable[int] | None) -> Callable[[int], list[float]]:
-    """Exact single-source distances on the subgraph on edge_ids: BFS
-    when every edge weighs exactly 1.0, heap Dijkstra otherwise."""
-    eids = edge_id_list(g, edge_ids)
-    if _all_unit(g, eids):
-        nbrs = neighbour_lists(g, eids)
-        return lambda source: _bfs_on(nbrs, source)
-    adj = neighbour_lists(g, eids, weighted=True)
-    return lambda source: _dijkstra_on(adj, source)
+# Bounds on the batched Dijkstra's temporaries: cells (sources x vertices)
+# of one block's distance matrix, and relaxations in one scatter.
+_BLOCK_CELLS = 2**15
+_SCATTER = 2**14
+
+
+def _batched_dijkstra(
+    g: WeightedGraph,
+    eids: Sequence[int],
+    sources: Sequence[int],
+    targets: Sequence[np.ndarray] | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Exact distances on the subgraph on eids (checked ids, repeats
+    allowed) from each of sources, by label-setting rounds over a block
+    of sources at once.
+
+    Yields (i, rows) as rows finish: rows[j] holds the distances from
+    sources[i[j]], final at every vertex of targets[i[j]] (at every
+    vertex when targets is None); other entries may still be tentative.
+
+    Each round, a row whose least unsettled distance is m settles every
+    vertex y with D[y] <= m + minw[y], minw[y] being the lightest edge at
+    y (the IN criterion of Crauser, Mehlhorn, Meyer and Sanders, "A
+    parallelization of Dijkstra's shortest path algorithm", MFCS 1998),
+    then relaxes their edges.  fl(a + w) is monotone and every unsettled
+    distance ends >= m, so no later relaxation goes below a settled
+    value, and each vertex gets min over its neighbours x of fl(d_x + w):
+    heap Dijkstra's floats, zero weights included.  A finished row's
+    slot takes the next source.
+    """
+    n = g.n
+    ids = np.asarray(eids, dtype=np.intp)
+    tails = np.concatenate((g.u[ids], g.v[ids]))
+    order = np.argsort(tails, kind="stable")
+    heads = np.concatenate((g.v[ids], g.u[ids]))[order]
+    arc_w = np.concatenate((g.w[ids], g.w[ids]))[order]
+    first_arc = np.searchsorted(tails[order], np.arange(n))
+    degree = np.bincount(tails, minlength=n)
+    minw = np.full(n, INF)
+    np.minimum.at(minw, heads, arc_w)
+    # A vertex with no edge gets minw 0, not inf, so that an unreached
+    # vertex (D = inf) never passes the test while m is finite.
+    minw[degree == 0] = 0.0
+
+    src = np.asarray(sources, dtype=np.intp)
+    if not len(src):
+        return
+    rows = max(1, min(len(src), _BLOCK_CELLS // n))
+    dist = np.full((rows, n), INF)
+    settled = np.zeros((rows, n), dtype=bool)
+    need = np.ones((rows, n), dtype=bool) if targets is None else np.zeros((rows, n), dtype=bool)
+    pending = np.zeros(rows, dtype=np.intp)
+    owner = np.arange(rows)
+    nxt = rows
+
+    def start(slots: np.ndarray) -> None:
+        dist[slots] = INF
+        dist[slots, src[owner[slots]]] = 0.0
+        settled[slots] = False
+        if targets is not None:
+            need[slots] = False
+            for slot in slots.tolist():
+                need[slot, targets[owner[slot]]] = True
+        pending[slots] = need[slots].sum(axis=1)
+
+    start(np.arange(rows))
+    while len(owner):
+        open_ = np.where(settled, INF, dist)
+        least = open_.min(axis=1)
+        frontier = open_ <= least[:, None] + minw
+        settled |= frontier
+        pending -= (frontier & need).sum(axis=1)
+        done = (pending == 0) | (least == INF)
+        frontier[done] = False
+        _relax(dist, frontier, first_arc, degree, heads, arc_w)
+        if not done.any():
+            continue
+        yield owner[done], dist[done]
+        slots = np.flatnonzero(done)
+        refill, drop = slots[: len(src) - nxt], slots[len(src) - nxt :]
+        owner[refill] = np.arange(nxt, nxt + len(refill))
+        nxt += len(refill)
+        start(refill)
+        if len(drop):
+            keep = np.ones(len(owner), dtype=bool)
+            keep[drop] = False
+            dist, settled, need, pending, owner = dist[keep], settled[keep], need[keep], pending[keep], owner[keep]
+
+
+def _relax(
+    dist: np.ndarray,
+    frontier: np.ndarray,
+    first_arc: np.ndarray,
+    degree: np.ndarray,
+    heads: np.ndarray,
+    arc_w: np.ndarray,
+) -> None:
+    """dist[r, y] = min(dist[r, y], dist[r, x] + w) for every arc (x, y, w)
+    out of each frontier cell (r, x), at most _SCATTER arcs at a time."""
+    n = dist.shape[1]
+    cells = np.flatnonzero(frontier)
+    x = cells % n
+    deg = degree[x]
+    ends = np.cumsum(deg)
+    shift = first_arc[x] - (ends - deg)  # arc = relaxation index + shift
+    flat = dist.reshape(-1)  # a view: dist is C-contiguous
+    total = int(ends[-1]) if len(ends) else 0
+    for lo in range(0, total, _SCATTER):
+        hi = min(total, lo + _SCATTER)
+        a, b = np.searchsorted(ends, [lo, hi - 1], side="right")
+        counts = np.minimum(ends[a : b + 1], hi) - np.maximum(ends[a : b + 1] - deg[a : b + 1], lo)
+        arc = np.arange(lo, hi) + np.repeat(shift[a : b + 1], counts)
+        at = np.repeat(cells[a : b + 1] - x[a : b + 1], counts) + heads[arc]
+        np.minimum.at(flat, at, np.repeat(flat[cells[a : b + 1]], counts) + arc_w[arc])
 
 
 def dijkstra(g: WeightedGraph, source: int, edge_ids: Iterable[int] | None = None) -> list[float]:
@@ -243,14 +348,15 @@ class StretchAudit:
 def audit_stretch(g: WeightedGraph, spanner_edges: Iterable[int], bound: float) -> StretchAudit:
     """Check d_spanner(u, v) <= bound * w for every original edge (u, v, w).
 
-    Distances are exact on the spanner subgraph (BFS when every spanner
-    edge weighs 1.0, Dijkstra otherwise), one run per distinct source
-    endpoint of a non-spanner edge; each run's ratios are taken before the
-    next run starts, so one distance list is held at a time.  Unreachable endpoints fail with an infinite ratio (a spanner
-    must preserve connectivity).
+    Distances are exact on the spanner subgraph, from each distinct source
+    endpoint of a non-spanner edge.  When every spanner edge weighs 1.0,
+    one BFS runs per source; otherwise batched Dijkstra runs a bounded
+    block of sources at once, and each row's ratios are taken as soon as
+    its edges' far endpoints are settled.  Unreachable endpoints fail with
+    an infinite ratio (a spanner must preserve connectivity).
     """
     spanner = set(spanner_edges)
-    distances = _shortest_paths(g, spanner)
+    eids = edge_id_list(g, spanner)
     us, vs, ws = g.u.tolist(), g.v.tolist(), g.w.tolist()
     ratios = [1.0] * g.m
     by_source: dict[int, list[int]] = {}
@@ -258,14 +364,24 @@ def audit_stretch(g: WeightedGraph, spanner_edges: Iterable[int], bound: float) 
         if eid not in spanner:
             by_source.setdefault(us[eid], []).append(eid)
 
-    for src, eids in by_source.items():
-        dist = distances(src)
-        for eid in eids:
+    def take(edges: list[int], dist: list[float]) -> None:
+        for eid in edges:
             d, w = dist[vs[eid]], ws[eid]
             if w > 0:
                 ratios[eid] = d / w
             else:
                 ratios[eid] = 1.0 if d == 0 else INF
+
+    if _all_unit(g, eids):
+        nbrs = neighbour_lists(g, eids)
+        for src, edges in by_source.items():
+            take(edges, _bfs_on(nbrs, src))
+    else:
+        sources = list(by_source)
+        targets = [np.array([vs[e] for e in by_source[s]], dtype=np.intp) for s in sources]
+        for done, rows in _batched_dijkstra(g, eids, sources, targets):
+            for i, row in zip(done.tolist(), rows.tolist()):
+                take(by_source[sources[i]], row)
 
     max_ratio = max(ratios, default=1.0)
     failing = [

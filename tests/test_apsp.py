@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from spanforge import (
     general_spanner,
     stretch_exponent,
 )
+from spanforge.apsp import pair_ratios
 
 
 def test_full_spanner_equals_exact():
@@ -72,6 +74,55 @@ def test_pair_ratio_vs_edge_audit_consistency():
     rep = apsp_experiment(g, 3, 1, 8)
     audit = audit_stretch(g, build.spanner_edges, 2 * 3 ** stretch_exponent(1))
     assert rep.max_ratio <= audit.max_ratio + 1e-9
+
+
+def triangle_ratios(exact, approx):
+    """pair_ratios' ratio array built from whole upper triangles."""
+    iu = np.triu_indices(exact.shape[0], k=1)
+    e, a = exact[iu], approx[iu]
+    connected = np.isfinite(e)
+    e, a = e[connected], a[connected]
+    ratios = np.empty_like(e)
+    zero = e == 0
+    ratios[~zero] = a[~zero] / e[~zero]
+    ratios[zero] = np.where(a[zero] == 0, 1.0, math.inf)
+    return ratios
+
+
+def ratio_matrices(n, seed):
+    """Random exact/approx pairs with unreachable and zero-distance pairs."""
+    rng = np.random.default_rng(seed)
+    exact = rng.uniform(0.5, 9.0, (n, n)).round(1)
+    exact[rng.random((n, n)) < 0.1] = 0.0
+    exact[rng.random((n, n)) < 0.2] = math.inf
+    approx = exact * rng.choice([1.0, 1.5, 3.0], (n, n))
+    approx[(exact == 0) & (rng.random((n, n)) < 0.5)] = 2.0
+    return exact, approx
+
+
+@pytest.mark.parametrize("cells", [1, 7, 2**15])
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 130])
+def test_pair_ratios_equal_whole_triangle_ratios(n, cells, monkeypatch):
+    # Row blocks of one row up to the whole matrix fill the same array.
+    monkeypatch.setattr(spanforge.apsp, "_RATIO_CELLS", cells)
+    exact, approx = ratio_matrices(n, n)
+    ratios = triangle_ratios(exact, approx)
+    expected = (float(ratios.max()), float(ratios.mean()), ratios.size) if ratios.size else (1.0, 1.0, 0)
+    assert pair_ratios(exact, approx) == expected
+
+
+def test_pair_ratios_memory_is_one_ratio_array_and_a_row_block():
+    # Whole upper triangles took 2 index arrays and 3 copies of n(n-1)/2.
+    exact, approx = ratio_matrices(800, 1)
+    exact[np.isinf(exact)] = 1.0
+    tracemalloc.start()
+    try:
+        _, _, pairs = pair_ratios(exact, approx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pairs == 800 * 799 // 2
+    assert peak < 8 * pairs + 2 * 2**20
 
 
 def test_report_dict_timing_opt_in():

@@ -1,14 +1,19 @@
 """The exact oracles' paths: BFS on unit weights (one source at a time
-for the audit, all sources at once for apsp_matrix), heap Dijkstra else.
+for the audit, all sources at once for apsp_matrix), batched
+label-setting Dijkstra on a block of sources at a time else.
 
-All must give the same floats.  The public dijkstra() and bellman_ford()
-stay heap-based and relaxation-based, so they are the cross-checks here.
+All must give heap Dijkstra's floats.  The public dijkstra() and
+bellman_ford() stay heap-based and relaxation-based, so they are the
+cross-checks here.
 """
 
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spanforge import (
     DomainError,
@@ -28,7 +33,7 @@ from spanforge import (
 )
 from spanforge import oracles
 from spanforge.graph import neighbour_lists
-from spanforge.oracles import _bfs_on, _dijkstra_on
+from spanforge.oracles import _batched_dijkstra, _bfs_on, _dijkstra_on
 
 # apsp_matrix packs 64 sources to a word: n = 63, 64, 65 and 129 straddle
 # word boundaries, and vertices with no edge get no reduceat segment.
@@ -61,6 +66,27 @@ SUBGRAPHS = {
 def heap_rows(g, eids):
     adj = neighbour_lists(g, eids, weighted=True)
     return np.array([_dijkstra_on(adj, s) for s in range(g.n)], dtype=np.float64)
+
+
+def heap_audit(g, spanner):
+    """audit_stretch's ratios from one heap Dijkstra per source."""
+    spanner = set(spanner)
+    adj = neighbour_lists(g, spanner, weighted=True)
+    rows = {}
+    ratios = [1.0] * g.m
+    for e, (u, v, w) in enumerate(zip(g.u.tolist(), g.v.tolist(), g.w.tolist())):
+        if e not in spanner:
+            if u not in rows:
+                rows[u] = _dijkstra_on(adj, u)
+            d = rows[u][v]
+            ratios[e] = d / w if w > 0 else (1.0 if d == 0 else math.inf)
+    return ratios
+
+
+def reweighted(g, weights, seed):
+    """g's edges with weights drawn from `weights`."""
+    rng = random.Random(seed)
+    return build_graph(g.n, [(u, v, rng.choice(weights)) for u, v in zip(g.u.tolist(), g.v.tolist())])
 
 
 @pytest.mark.parametrize("subgraph", sorted(SUBGRAPHS))
@@ -117,14 +143,98 @@ def test_one_weight_just_above_one_takes_dijkstra():
 def test_unit_weight_twophase_audit_matches_heap_dijkstra():
     g = gen_grid(30, 30)
     build = two_phase_spanner(g, 9, 1)
-    spanner = set(build.spanner_edges)
-    adj = neighbour_lists(g, spanner, weighted=True)
-    assert all(g.edges[e][2] == 1.0 for e in spanner)
-    expected = [1.0] * g.m
-    for e, (u, v, w) in enumerate(g.edges):
-        if e not in spanner:
-            expected[e] = _dijkstra_on(adj, u)[v] / w
-    assert audit_stretch(g, build.spanner_edges, 100.0).ratios == expected
+    assert np.all(g.w[build.spanner_edges] == 1.0)
+    assert audit_stretch(g, build.spanner_edges, 100.0).ratios == heap_audit(g, build.spanner_edges)
+
+
+# Weighted inputs, which take the batched Dijkstra.  Zero weights make
+# ties that settle in the same round; tiny minimum weights make rounds
+# that settle little; 0.1 sums are not level * w.
+WEIGHTED_GRAPHS = {
+    "uniform": lambda: gen_gnp(150, 0.05, ("uniform", 1, 10), 5),
+    "zero": lambda: reweighted(gen_gnp(120, 0.06, "unit", 6), [0.0, 0.0, 0.5, 2.0, 3.0], 1),
+    "tiny": lambda: gen_gnp(120, 0.06, ("uniform", 0.001, 10), 7),
+    "tenth": lambda: reweighted(gen_grid(9, 11), [0.1], 0),
+    "isolated": lambda: build_graph(50, [(i, i + 1, 0.5 + i % 3) for i in range(10, 30)]),
+    "two-components": lambda: build_graph(
+        40, [(i, i + 1, 1.0 + i % 4) for i in range(39) if i != 19] + [(0, 19, 2.5), (20, 39, 0.0)]
+    ),
+    "n1": lambda: build_graph(1, []),
+}
+
+
+@pytest.mark.parametrize("subgraph", sorted(SUBGRAPHS))
+@pytest.mark.parametrize("name", sorted(WEIGHTED_GRAPHS))
+def test_batched_rows_equal_heap_dijkstra(name, subgraph):
+    g = WEIGHTED_GRAPHS[name]()
+    eids = SUBGRAPHS[subgraph](g)
+    assert apsp_matrix(g, eids).tobytes() == heap_rows(g, eids).tobytes()
+    spanner = range(g.m) if eids is None else eids
+    assert audit_stretch(g, spanner, 100.0).ratios == heap_audit(g, spanner)
+
+
+@pytest.mark.parametrize("name", ["zero", "tiny", "tenth", "two-components"])
+def test_batched_rows_equal_bellman_ford(name):
+    g = WEIGHTED_GRAPHS[name]()
+    matrix = apsp_matrix(g)
+    for s in range(0, g.n, 7):
+        assert matrix[s].tolist() == bellman_ford(g, s)
+
+
+@pytest.mark.parametrize("name", ["uniform", "zero", "two-components"])
+def test_batched_dijkstra_in_one_row_blocks_and_one_arc_scatters(name, monkeypatch):
+    # One source per block and one relaxation per scatter, so that the
+    # refill, drop and scatter loops run many times on a small graph.
+    monkeypatch.setattr(oracles, "_BLOCK_CELLS", 1)
+    monkeypatch.setattr(oracles, "_SCATTER", 1)
+    g = WEIGHTED_GRAPHS[name]()
+    spanner = general_spanner(g, 3, 1, 7).spanner_edges
+    assert apsp_matrix(g, spanner).tobytes() == heap_rows(g, spanner).tobytes()
+    assert audit_stretch(g, spanner, 100.0).ratios == heap_audit(g, spanner)
+
+
+def test_batched_dijkstra_yields_each_source_once_with_its_targets_final():
+    # Repeated sources and targets, a source that is its own target, and
+    # an unreachable target: every row is yielded once, and is exact at
+    # its targets even when it stops before its other vertices settle.
+    g = WEIGHTED_GRAPHS["two-components"]()
+    expected = heap_rows(g, None)
+    sources = [3, 3, 25, 0, 39, 3]
+    targets = [np.array(t) for t in ([4], [4, 4, 30], [21], [0], [20, 39], [18])]
+    seen = []
+    for done, rows in _batched_dijkstra(g, range(g.m), sources, targets):
+        for i, row in zip(done.tolist(), rows):
+            seen.append(i)
+            assert row[targets[i]].tobytes() == expected[sources[i], targets[i]].tobytes()
+    assert sorted(seen) == list(range(len(sources)))
+    assert list(_batched_dijkstra(g, range(g.m), [], [])) == []
+
+
+def test_weighted_disconnected_spanner_audits_to_an_infinite_ratio():
+    g = build_graph(5, [(0, 1, 2.5), (1, 2, 0.5), (2, 3, 4.0), (3, 4, 1.5), (0, 4, 3.0)])
+    audit = audit_stretch(g, [0, 1, 3], 100.0)  # 3-4 is cut off from 0-1-2
+    assert not audit.passed
+    assert audit.max_ratio == math.inf
+    assert [f["edge"] for f in audit.failing_edges] == [2, 4]
+    assert audit.ratios == heap_audit(g, [0, 1, 3])
+
+
+@st.composite
+def weighted_subgraphs(draw):
+    n = draw(st.integers(min_value=1, max_value=14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weight = st.one_of(st.sampled_from([0.0, 0.1, 1.0, 1e-3]), st.floats(min_value=0.0, max_value=10.0))
+    g = build_graph(n, [(u, v, draw(weight)) for u, v in chosen])
+    eids = draw(st.lists(st.integers(min_value=0, max_value=g.m - 1))) if g.m else []
+    return g, eids
+
+
+@given(case=weighted_subgraphs())
+def test_batched_dijkstra_property(case):
+    g, eids = case
+    assert apsp_matrix(g, eids).tobytes() == heap_rows(g, eids).tobytes()
+    assert audit_stretch(g, eids, 100.0).ratios == heap_audit(g, eids)
 
 
 ORACLES = {
