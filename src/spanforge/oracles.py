@@ -1,10 +1,12 @@
 """Brute-force oracles and statistical checks for spanner builds.
 
 Everything here is deliberately independent of the construction code:
-distances come from plain Dijkstra, or BFS when every edge weighs exactly
-1.0 (both cross-checked by Bellman-Ford),
-stretch is audited edge by edge on the spanner subgraph, and size claims
-are measured over repeated seeded runs rather than trusted.
+distances come from BFS when every edge weighs exactly 1.0 and from
+label-setting Dijkstra otherwise, run on a block of sources at once for
+the audit and all-pairs matrices and one heap at a time for dijkstra()
+(all cross-checked by Bellman-Ford), stretch is audited edge by edge on
+the spanner subgraph, and size claims are measured over repeated seeded
+runs rather than trusted.
 """
 
 from __future__ import annotations

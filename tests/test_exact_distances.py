@@ -182,11 +182,12 @@ def test_batched_rows_equal_bellman_ford(name):
 
 
 @pytest.mark.parametrize("name", ["uniform", "zero", "two-components"])
-def test_batched_dijkstra_in_one_row_blocks_and_one_arc_scatters(name, monkeypatch):
-    # One source per block and one relaxation per scatter, so that the
-    # refill, drop and scatter loops run many times on a small graph.
+def test_batched_dijkstra_in_one_row_blocks_and_small_scatters(name, monkeypatch):
+    # One source per block and three relaxations per scatter, so that the
+    # refill, drop and scatter loops run many times on a small graph and
+    # a vertex's arcs are split between scatters.
     monkeypatch.setattr(oracles, "_BLOCK_CELLS", 1)
-    monkeypatch.setattr(oracles, "_SCATTER", 1)
+    monkeypatch.setattr(oracles, "_SCATTER", 3)
     g = WEIGHTED_GRAPHS[name]()
     spanner = general_spanner(g, 3, 1, 7).spanner_edges
     assert apsp_matrix(g, spanner).tobytes() == heap_rows(g, spanner).tobytes()
