@@ -1,12 +1,13 @@
 """Brute-force oracles and statistical checks for spanner builds.
 
 Everything here is deliberately independent of the construction code:
-distances come from BFS when every edge weighs exactly 1.0 and from
-label-setting Dijkstra otherwise, run on a block of sources at once for
-the audit and all-pairs matrices and one heap at a time for dijkstra()
-(all cross-checked by Bellman-Ford), stretch is audited edge by edge on
-the spanner subgraph, and size claims are measured over repeated seeded
-runs rather than trusted.
+distances come from label-setting Dijkstra, run on a block of sources
+at once for the audit and for all-pairs matrices and one heap at a time
+for dijkstra(), and from one BFS from all sources at once for all-pairs
+matrices whose edges all weigh exactly 1.0 (all cross-checked by
+Bellman-Ford); stretch is audited edge by edge on the spanner subgraph,
+and size claims are measured over repeated seeded runs rather than
+trusted.
 """
 
 from __future__ import annotations
@@ -60,25 +61,6 @@ def _dijkstra_on(adj: list[list[tuple[int, float]]], source: int) -> list[float]
     return dist
 
 
-def _bfs_on(nbrs: list[list[int]], source: int) -> list[float]:
-    """Unit-weight distances by levels; the same floats as _dijkstra_on,
-    because every sum of 1.0s below 2**53 is exact."""
-    dist = [INF] * len(nbrs)
-    dist[source] = 0.0
-    frontier = [source]
-    level = 0.0
-    while frontier:
-        level += 1.0
-        reached = []
-        for x in frontier:
-            for y in nbrs[x]:
-                if dist[y] == INF:
-                    dist[y] = level
-                    reached.append(y)
-        frontier = reached
-    return dist
-
-
 # Bounds on the all-sources BFS's temporaries, in 64-bit words: the
 # frontier gathered over every arc, and the new bits unpacked per step.
 _GATHER_WORDS = 2**20
@@ -96,8 +78,9 @@ def _bfs_all_sources(g: WeightedGraph, eids: Sequence[int]) -> np.ndarray:
     keeps the bits it has not seen, and takes the level as its distance
     from those sources; a word drops out once its sources reach nothing
     new.  The work grows with levels * n**2 / 64, so long paths are the
-    slow case.  Distances are _bfs_on's floats, and they are symmetric,
-    so row y is written with y's distance from every source.
+    slow case.  Levels are heap Dijkstra's floats, since every sum of
+    1.0s below 2**53 is exact, and distances are symmetric, so row y is
+    written with y's distance from every source.
     """
     n = g.n
     out = np.full((n, n), INF)
@@ -151,9 +134,9 @@ def _write_level(out: np.ndarray, new: np.ndarray, dest: np.ndarray, word_ids: n
 
 
 def _all_unit(g: WeightedGraph, eids: Sequence[int]) -> bool:
-    """Whether every edge in eids weighs exactly 1.0, the case the BFS
-    routines take.  Other equal weights keep Dijkstra: its running sums
-    (0.1 + 0.1 + ...) are not level * w."""
+    """Whether every edge in eids weighs exactly 1.0, the case in which
+    apsp_matrix runs the all-sources BFS.  Other equal weights keep
+    Dijkstra: its running sums (0.1 + 0.1 + ...) are not level * w."""
     return bool(np.all(g.w[np.asarray(eids, dtype=np.intp)] == 1.0))
 
 
@@ -173,7 +156,7 @@ def _batched_dijkstra(
     allowed) from each of sources, by label-setting rounds over a block
     of sources at once.
 
-    Yields (i, rows) as rows finish: rows[j] holds the distances from
+    Yields (i, rows) per block: rows[j] holds the distances from
     sources[i[j]], final at every vertex of targets[i[j]] (at every
     vertex when targets is None); other entries may still be tentative.
 
@@ -184,8 +167,8 @@ def _batched_dijkstra(
     then relaxes their edges.  fl(a + w) is monotone and every unsettled
     distance ends >= m, so no later relaxation goes below a settled
     value, and each vertex gets min over its neighbours x of fl(d_x + w):
-    heap Dijkstra's floats, zero weights included.  A finished row's
-    slot takes the next source.
+    heap Dijkstra's floats, zero weights included.  A row stops once its
+    targets are settled or m is inf; the block runs until all have.
     """
     n = g.n
     ids = np.asarray(eids, dtype=np.intp)
@@ -202,48 +185,28 @@ def _batched_dijkstra(
     minw[degree == 0] = 0.0
 
     src = np.asarray(sources, dtype=np.intp)
-    if not len(src):
-        return
-    rows = max(1, min(len(src), _BLOCK_CELLS // n))
-    dist = np.full((rows, n), INF)
-    settled = np.zeros((rows, n), dtype=bool)
-    need = np.ones((rows, n), dtype=bool) if targets is None else np.zeros((rows, n), dtype=bool)
-    pending = np.zeros(rows, dtype=np.intp)
-    owner = np.arange(rows)
-    nxt = rows
-
-    def start(slots: np.ndarray) -> None:
-        dist[slots] = INF
-        dist[slots, src[owner[slots]]] = 0.0
-        settled[slots] = False
+    rows = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, len(src), rows):
+        i = np.arange(lo, min(len(src), lo + rows))
+        dist = np.full((len(i), n), INF)
+        dist[np.arange(len(i)), src[i]] = 0.0
+        settled = np.zeros(dist.shape, dtype=bool)
         if targets is not None:
-            need[slots] = False
-            for slot in slots.tolist():
-                need[slot, targets[owner[slot]]] = True
-        pending[slots] = need[slots].sum(axis=1)
-
-    start(np.arange(rows))
-    while len(owner):
-        open_ = np.where(settled, INF, dist)
-        least = open_.min(axis=1)
-        frontier = open_ <= least[:, None] + minw
-        settled |= frontier
-        pending -= (frontier & need).sum(axis=1)
-        done = (pending == 0) | (least == INF)
-        frontier[done] = False
-        _relax(dist, frontier, first_arc, degree, heads, arc_w)
-        if not done.any():
-            continue
-        yield owner[done], dist[done]
-        slots = np.flatnonzero(done)
-        refill, drop = slots[: len(src) - nxt], slots[len(src) - nxt :]
-        owner[refill] = np.arange(nxt, nxt + len(refill))
-        nxt += len(refill)
-        start(refill)
-        if len(drop):
-            keep = np.ones(len(owner), dtype=bool)
-            keep[drop] = False
-            dist, settled, need, pending, owner = dist[keep], settled[keep], need[keep], pending[keep], owner[keep]
+            need = np.zeros(dist.shape, dtype=bool)
+            for r, s in enumerate(i.tolist()):
+                need[r, targets[s]] = True
+        live = np.ones(len(i), dtype=bool)
+        while live.any():
+            open_ = np.where(settled, INF, dist)
+            least = open_.min(axis=1)
+            frontier = open_ <= least[:, None] + minw
+            settled |= frontier
+            live &= least < INF
+            if targets is not None:
+                live &= (need & ~settled).any(axis=1)
+            frontier[~live] = False
+            _relax(dist, frontier, first_arc, degree, heads, arc_w)
+        yield i, dist
 
 
 def _relax(
@@ -255,7 +218,9 @@ def _relax(
     arc_w: np.ndarray,
 ) -> None:
     """dist[r, y] = min(dist[r, y], dist[r, x] + w) for every arc (x, y, w)
-    out of each frontier cell (r, x), at most _SCATTER arcs at a time."""
+    out of each frontier cell (r, x).  Scatters take whole cells, cut
+    where the running arc count passes a multiple of _SCATTER, so each
+    holds its first cell's arcs and fewer than _SCATTER more."""
     n = dist.shape[1]
     cells = np.flatnonzero(frontier)
     x = cells % n
@@ -264,13 +229,13 @@ def _relax(
     shift = first_arc[x] - (ends - deg)  # arc = relaxation index + shift
     flat = dist.reshape(-1)  # a view: dist is C-contiguous
     total = int(ends[-1]) if len(ends) else 0
-    for lo in range(0, total, _SCATTER):
-        hi = min(total, lo + _SCATTER)
-        a, b = np.searchsorted(ends, [lo, hi - 1], side="right")
-        counts = np.minimum(ends[a : b + 1], hi) - np.maximum(ends[a : b + 1] - deg[a : b + 1], lo)
-        arc = np.arange(lo, hi) + np.repeat(shift[a : b + 1], counts)
-        at = np.repeat(cells[a : b + 1] - x[a : b + 1], counts) + heads[arc]
-        np.minimum.at(flat, at, np.repeat(flat[cells[a : b + 1]], counts) + arc_w[arc])
+    cuts = np.searchsorted(ends, np.arange(_SCATTER, total, _SCATTER), side="right")
+    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(cells)]):
+        if a == b:
+            continue
+        arc = np.arange(ends[a] - deg[a], ends[b - 1]) + np.repeat(shift[a:b], deg[a:b])
+        at = np.repeat(cells[a:b] - x[a:b], deg[a:b]) + heads[arc]
+        np.minimum.at(flat, at, np.repeat(flat[cells[a:b]], deg[a:b]) + arc_w[arc])
 
 
 def dijkstra(g: WeightedGraph, source: int, edge_ids: Iterable[int] | None = None) -> list[float]:
@@ -351,11 +316,10 @@ def audit_stretch(g: WeightedGraph, spanner_edges: Iterable[int], bound: float) 
     """Check d_spanner(u, v) <= bound * w for every original edge (u, v, w).
 
     Distances are exact on the spanner subgraph, from each distinct source
-    endpoint of a non-spanner edge.  When every spanner edge weighs 1.0,
-    one BFS runs per source; otherwise batched Dijkstra runs a bounded
-    block of sources at once, and each row's ratios are taken as soon as
-    its edges' far endpoints are settled.  Unreachable endpoints fail with
-    an infinite ratio (a spanner must preserve connectivity).
+    endpoint of a non-spanner edge, by batched Dijkstra on a bounded block
+    of sources at once; each row stops once its edges' far endpoints are
+    settled.  Unreachable endpoints fail with an infinite ratio (a spanner
+    must preserve connectivity).
     """
     spanner = set(spanner_edges)
     eids = edge_id_list(g, spanner)
@@ -366,24 +330,16 @@ def audit_stretch(g: WeightedGraph, spanner_edges: Iterable[int], bound: float) 
         if eid not in spanner:
             by_source.setdefault(us[eid], []).append(eid)
 
-    def take(edges: list[int], dist: list[float]) -> None:
-        for eid in edges:
-            d, w = dist[vs[eid]], ws[eid]
-            if w > 0:
-                ratios[eid] = d / w
-            else:
-                ratios[eid] = 1.0 if d == 0 else INF
-
-    if _all_unit(g, eids):
-        nbrs = neighbour_lists(g, eids)
-        for src, edges in by_source.items():
-            take(edges, _bfs_on(nbrs, src))
-    else:
-        sources = list(by_source)
-        targets = [np.array([vs[e] for e in by_source[s]], dtype=np.intp) for s in sources]
-        for done, rows in _batched_dijkstra(g, eids, sources, targets):
-            for i, row in zip(done.tolist(), rows.tolist()):
-                take(by_source[sources[i]], row)
+    sources = list(by_source)
+    targets = [g.v[by_source[s]] for s in sources]
+    for done, rows in _batched_dijkstra(g, eids, sources, targets):
+        for i, dist in zip(done.tolist(), rows.tolist()):
+            for eid in by_source[sources[i]]:
+                d, w = dist[vs[eid]], ws[eid]
+                if w > 0:
+                    ratios[eid] = d / w
+                else:
+                    ratios[eid] = 1.0 if d == 0 else INF
 
     max_ratio = max(ratios, default=1.0)
     failing = [

@@ -1,6 +1,6 @@
-"""The exact oracles' paths: BFS on unit weights (one source at a time
-for the audit, all sources at once for apsp_matrix), batched
-label-setting Dijkstra on a block of sources at a time else.
+"""The exact oracles' paths: batched label-setting Dijkstra on a block
+of sources at a time for the audit and for weighted apsp_matrix, and
+one BFS from all sources at once for apsp_matrix on unit weights.
 
 All must give heap Dijkstra's floats.  The public dijkstra() and
 bellman_ford() stay heap-based and relaxation-based, so they are the
@@ -33,7 +33,7 @@ from spanforge import (
 )
 from spanforge import oracles
 from spanforge.graph import neighbour_lists
-from spanforge.oracles import _batched_dijkstra, _bfs_on, _dijkstra_on
+from spanforge.oracles import _batched_dijkstra, _dijkstra_on
 
 # apsp_matrix packs 64 sources to a word: n = 63, 64, 65 and 129 straddle
 # word boundaries, and vertices with no edge get no reduceat segment.
@@ -94,11 +94,9 @@ def reweighted(g, weights, seed):
 def test_bfs_rows_equal_heap_dijkstra(name, subgraph):
     g = UNIT_GRAPHS[name]()
     eids = SUBGRAPHS[subgraph](g)
-    expected = heap_rows(g, eids).tobytes()
-    nbrs = neighbour_lists(g, eids)
-    bfs = np.array([_bfs_on(nbrs, s) for s in range(g.n)], dtype=np.float64)
-    assert bfs.tobytes() == expected
-    assert apsp_matrix(g, eids).tobytes() == expected
+    assert apsp_matrix(g, eids).tobytes() == heap_rows(g, eids).tobytes()
+    spanner = range(g.m) if eids is None else eids
+    assert audit_stretch(g, spanner, 100.0).ratios == heap_audit(g, spanner)
 
 
 @pytest.mark.parametrize("name", ["gnp129", "two-components", "complete"])
@@ -183,11 +181,10 @@ def test_batched_rows_equal_bellman_ford(name):
 
 @pytest.mark.parametrize("name", ["uniform", "zero", "two-components"])
 def test_batched_dijkstra_in_one_row_blocks_and_small_scatters(name, monkeypatch):
-    # One source per block and three relaxations per scatter, so that the
-    # refill, drop and scatter loops run many times on a small graph and
-    # a vertex's arcs are split between scatters.
+    # One source per block and one relaxation per scatter, so that the
+    # block and scatter loops run many times on a small graph.
     monkeypatch.setattr(oracles, "_BLOCK_CELLS", 1)
-    monkeypatch.setattr(oracles, "_SCATTER", 3)
+    monkeypatch.setattr(oracles, "_SCATTER", 1)
     g = WEIGHTED_GRAPHS[name]()
     spanner = general_spanner(g, 3, 1, 7).spanner_edges
     assert apsp_matrix(g, spanner).tobytes() == heap_rows(g, spanner).tobytes()
