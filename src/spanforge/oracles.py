@@ -333,9 +333,9 @@ def audit_stretch(g: WeightedGraph, spanner_edges: Iterable[int], bound: float) 
     sources = list(by_source)
     targets = [g.v[by_source[s]] for s in sources]
     for done, rows in _batched_dijkstra(g, eids, sources, targets):
-        for i, dist in zip(done.tolist(), rows.tolist()):
-            for eid in by_source[sources[i]]:
-                d, w = dist[vs[eid]], ws[eid]
+        for i, row in zip(done.tolist(), rows):
+            for eid, d in zip(by_source[sources[i]], row[targets[i]].tolist()):
+                w = ws[eid]
                 if w > 0:
                     ratios[eid] = d / w
                 else:
