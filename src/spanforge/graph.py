@@ -2,7 +2,9 @@
 
 Vertices are dense ids 0..n-1 and edges are numpy columns indexed by edge
 id; every other module refers to edges by that index, which stays stable
-through cluster contraction and spanner extraction.
+through cluster contraction and spanner extraction.  The generators and
+the loader hand int64/float64 edge columns to one normaliser; build_graph
+is the checking front end that turns Python (u, v, w) triples into them.
 
 Edge-list text format:
     # n m            optional header (keeps isolated vertices)
@@ -10,9 +12,9 @@ Edge-list text format:
 
 Without a header, vertex ids may be arbitrary integers and are remapped to
 0..n-1 in sorted order, unless the caller gives n.  With a header, or with
-n given, ids must already lie in [0, n).
-Self-loops are dropped and parallel edges collapse to the single
-minimum-weight edge, so loading is idempotent.
+n given, ids must already lie in [0, n).  Self-loops are dropped and
+parallel edges collapse to the single minimum-weight edge, so loading is
+idempotent.
 """
 
 from __future__ import annotations
@@ -78,55 +80,52 @@ class WeightedGraph:
         return list(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
 
     def validate(self) -> None:
-        """Check all structural invariants; raises ValueError on breakage."""
+        """Check all structural invariants; raises ValueError naming the first bad edge."""
         if self.n < 1:
             raise ValueError(f"vertex count {self.n} < 1")
         if not (self.u.ndim == self.v.ndim == self.w.ndim == 1 and self.m == len(self.v) == len(self.w)):
             raise ValueError("edge columns must be 1-d and of one length")
-        seen_pairs = set()
-        for eid, (u, v, w) in enumerate(self.edges):
-            if not 0 <= u < v < self.n:
-                raise ValueError(f"edge {eid} endpoints ({u}, {v}) not 0 <= u < v < n")
-            if not (math.isfinite(w) and w >= 0):
-                raise ValueError(f"edge {eid} weight")
-            if (u, v) in seen_pairs:
-                raise ValueError(f"parallel edge {eid}")
-            seen_pairs.add((u, v))
+        u, v, w = self.u, self.v, self.w
+        bad_ends = ~((0 <= u) & (u < v) & (v < min(self.n, 2**31)))
+        bad_weight = ~(np.isfinite(w) & (w >= 0))
+        repeat = np.ones(self.m, bool)  # the pair is on an earlier edge
+        repeat[np.unique(u.astype(np.int64) << 32 | v.view(np.uint32), return_index=True)[1]] = False
+        for eid in np.flatnonzero(bad_ends | bad_weight | repeat)[:1].tolist():
+            if bad_ends[eid]:
+                raise ValueError(f"edge {eid} endpoints ({u[eid]}, {v[eid]}) not 0 <= u < v < n")
+            raise ValueError(f"edge {eid} weight" if bad_weight[eid] else f"parallel edge {eid}")
 
 
 def build_graph(n: int, raw_edges: Iterable[tuple[int, int, float]]) -> WeightedGraph:
     """Normalize raw (u, v, w) triples into a WeightedGraph.
 
-    Drops self-loops, collapses parallel edges to the minimum weight
-    (first occurrence wins ties), and rejects negative or non-finite
-    weights, naming the first bad triple.  Edge ids follow the first
-    occurrence of each vertex pair.
+    Checks the triples in one pass, naming the first with an id outside
+    [0, n) or a negative or non-finite weight.  Drops self-loops, collapses
+    parallel edges to the minimum weight (first occurrence wins ties), and
+    numbers edges by the first occurrence of each vertex pair.
     """
-    if n < 1:
-        raise DomainError(f"vertex count must be >= 1, got {n}")
-    if n > 2**31:
-        raise DomainError(f"vertex count must be <= 2**31 (ids are int32), got {n}")
-    triples = list(raw_edges)
-    try:
-        columns = np.fromiter(triples, [("u", np.int64), ("v", np.int64), ("w", float)], len(triples))
-        u, v, w = columns["u"], columns["v"], columns["w"]
-        valid = bool(np.all((0 <= u) & (u < n) & (0 <= v) & (v < n) & np.isfinite(w) & (w >= 0)))
-    except (OverflowError, ValueError):  # e.g. an id beyond int64; found below
-        valid = False
-    if not valid:
-        for a, b, x in triples:
-            if not (0 <= a < n and 0 <= b < n):
-                raise DomainError(f"edge ({a},{b}) out of range for n={n}")
-            x = float(x)
-            if not math.isfinite(x):
-                raise DomainError(f"edge ({a},{b}) has non-finite weight")
-            if x < 0:
-                raise DomainError(f"edge ({a},{b}) has negative weight {x}")
-    del triples  # often the last reference to the tuples: free them before sorting
+    _check_sizes(n=n)
+    us, vs, ws = [], [], []
+    for a, b, x in raw_edges:
+        if not (0 <= a < n and 0 <= b < n):
+            raise DomainError(f"edge ({a},{b}) out of range for n={n}")
+        if not 0 <= x < math.inf:
+            problem = f"negative weight {float(x)}" if math.isfinite(x) else "non-finite weight"
+            raise DomainError(f"edge ({a},{b}) has {problem}")
+        us.append(a)
+        vs.append(b)
+        ws.append(x)
+    return _from_columns(n, us, vs, ws)
 
+
+def _from_columns(n: int, u, v, w) -> WeightedGraph:
+    """build_graph's normalization of columns u, v, w, for a checked n and ids that fit int64."""
+    u, v, w = np.asarray(u, np.int64), np.asarray(v, np.int64), np.asarray(w, np.float64)
+    if not np.all((0 <= u) & (u < n) & (0 <= v) & (v < n) & (0 <= w) & (w < math.inf)):
+        raise DomainError(f"edge columns hold an id outside [0,{n}) or a bad weight")
     pos = np.flatnonzero(u != v)  # input positions of the non-loops
     lo, hi, w = np.minimum(u[pos], v[pos]), np.maximum(u[pos], v[pos]), w[pos]
-    del columns, u, v  # free them before the sort makes its index arrays
+    del u, v  # free them before the sort makes its index arrays
     # By pair, then weight, then input position: sort (pair, rank) by the
     # triples' rank in a stable weight order, then map the ranks back.
     rank = np.argsort(w, kind="stable")
@@ -233,9 +232,7 @@ def load_edge_list(source: str | Path | IO[str], n: int | None = None) -> Weight
 
     header_n: int | None = None
     header_line = 0
-    us: list[int] = []
-    vs: list[int] = []
-    ws: list[float] = []
+    us, vs, ws = [], [], []
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line:
@@ -276,16 +273,14 @@ def load_edge_list(source: str | Path | IO[str], n: int | None = None) -> Weight
             )
         for u, v in zip(us, vs):
             if not (0 <= u < header_n and 0 <= v < header_n):
-                raise EdgeListError(
-                    f"vertex id out of range [0,{header_n}) in edge ({u},{v})"
-                )
-        return build_graph(header_n, zip(us, vs, ws))
+                raise EdgeListError(f"vertex id out of range [0,{header_n}) in edge ({u},{v})")
+        return _from_columns(header_n, us, vs, ws)
 
     ids = sorted(set(us) | set(vs))
     if not ids:
         raise EdgeListError("no vertices found (empty input needs a '# n m' header)")
     remap = {orig: i for i, orig in enumerate(ids)}
-    return build_graph(len(ids), zip(map(remap.get, us), map(remap.get, vs), ws))
+    return _from_columns(len(ids), list(map(remap.get, us)), list(map(remap.get, vs)), ws)
 
 
 def write_edge_list(g: WeightedGraph, sink: str | Path | IO[str]) -> None:
@@ -308,9 +303,12 @@ WeightSpec = str | tuple[str, float, float]
 
 
 def _check_sizes(**sizes: int) -> None:
+    """Each size >= 1, and their product, the vertex count, <= 2**31."""
     for name, size in sizes.items():
         if size < 1:
             raise DomainError(f"{name} must be >= 1, got {size}")
+    if (n := math.prod(sizes.values())) > 2**31:
+        raise DomainError(f"vertex count must be <= 2**31 (ids are int32), got {n}")
 
 
 def _check_gnp(n: int, p: float, weights: WeightSpec) -> None:
@@ -338,49 +336,51 @@ def gen_gnp(n: int, p: float, weights: WeightSpec = "unit", seed: int = 0) -> We
     if not unit:
         lo, hi = float(weights[1]), float(weights[2])
     rng = random.Random(seed)
-
-    def triples():
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < p:
-                    yield i, j, 1.0 if unit else rng.uniform(lo, hi)
-
-    return build_graph(n, triples())
+    us, vs, ws = [], [], []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                us.append(i)
+                vs.append(j)
+                if not unit:
+                    ws.append(rng.uniform(lo, hi))
+    return _from_columns(n, us, vs, np.ones(len(us)) if unit else ws)
 
 
 def gen_path(n: int) -> WeightedGraph:
     _check_sizes(n=n)
-    return build_graph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+    ids = np.arange(n - 1, dtype=np.int64)
+    return _from_columns(n, ids, ids + 1, np.ones(n - 1))
 
 
 def gen_cycle(n: int) -> WeightedGraph:
     if n < 3:
         raise DomainError("cycle needs n >= 3")
-    return build_graph(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
+    _check_sizes(n=n)
+    ids = np.arange(n, dtype=np.int64)
+    return _from_columns(n, ids, (ids + 1) % n, np.ones(n))
 
 
 def gen_complete(n: int) -> WeightedGraph:
-    return build_graph(n, [(i, j, 1.0) for i in range(n) for j in range(i + 1, n)])
+    _check_sizes(n=n)
+    u, v = np.triu_indices(n, 1)
+    return _from_columns(n, u, v, np.ones(len(u)))
 
 
 def gen_star(n: int) -> WeightedGraph:
     """Star on n vertices: center 0 joined to 1..n-1."""
-    return build_graph(n, [(0, i, 1.0) for i in range(1, n)])
+    _check_sizes(n=n)
+    return _from_columns(n, np.zeros(n - 1, np.int64), np.arange(1, n, dtype=np.int64), np.ones(n - 1))
 
 
 def gen_grid(width: int, height: int) -> WeightedGraph:
+    """Edge ids go row-major by vertex, the right edge (column 0) before the down edge."""
     _check_sizes(width=width, height=height)
-
-    def triples():
-        for r in range(height):
-            for c in range(width):
-                v = r * width + c
-                if c + 1 < width:
-                    yield v, v + 1, 1.0
-                if r + 1 < height:
-                    yield v, v + width, 1.0
-
-    return build_graph(width * height, triples())
+    n = width * height
+    ids = np.arange(n, dtype=np.int64)
+    keep = np.stack([ids % width < width - 1, ids < n - width], axis=1)
+    ends = np.stack([ids + 1, ids + width], axis=1)
+    return _from_columns(n, np.repeat(ids, 2)[keep.ravel()], ends[keep], np.ones(int(keep.sum())))
 
 
 def parse_generator_spec(spec: str):

@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -319,3 +320,130 @@ def test_sort_pairs_orders_by_major_then_minor(offset):
     expected = sorted(zip(major.tolist(), minor.tolist()))
     spanforge.graph.sort_pairs(major, minor, 7)
     assert list(zip(major.tolist(), minor.tolist())) == expected
+
+
+def test_generators_check_the_vertex_count_before_building():
+    for make in (lambda: gen_gnp(0, 0.5), lambda: gen_path(0), lambda: gen_cycle(0),
+                 lambda: gen_complete(0), lambda: gen_star(0), lambda: gen_grid(0, 3)):
+        with pytest.raises(DomainError):
+            make()
+    # Checked only after the edges were made, these would draw or
+    # allocate for billions of vertices first.
+    for make in (lambda: gen_gnp(2**31 + 1, 0.5), lambda: gen_grid(2**16, 2**16)):
+        with pytest.raises(DomainError, match=r"<= 2\*\*31"):
+            make()
+
+
+GENERATORS = {"grid": gen_grid, "gnp": gen_gnp, "path": gen_path, "cycle": gen_cycle,
+              "star": gen_star, "complete": gen_complete}
+GENERATOR_CASES = (
+    [("grid", (w, h)) for w, h in [(1, 1), (1, 5), (5, 1), (2, 2), (7, 6)]]
+    + [(kind, (n,)) for kind, smallest in [("path", 1), ("cycle", 3), ("star", 1), ("complete", 1)]
+       for n in (smallest, 9)]
+    + [("gnp", (30, 0.2, weights, seed)) for weights in ("unit", ("uniform", 1.0, 10.0)) for seed in range(5)]
+)
+
+
+def generator_triples(kind, *args):
+    """(n, triples): a generator's edges written out as the (u, v, w)
+    triples it once fed to build_graph, in the same order."""
+    if kind == "grid":
+        width, height = args
+        triples = []
+        for r in range(height):
+            for c in range(width):
+                x = r * width + c
+                if c + 1 < width:
+                    triples.append((x, x + 1, 1.0))
+                if r + 1 < height:
+                    triples.append((x, x + width, 1.0))
+        return width * height, triples
+    if kind == "gnp":
+        n, p, weights, seed = args
+        rng = random.Random(seed)  # one draw per pair, then a weight draw per edge
+        return n, [(i, j, 1.0 if weights == "unit" else rng.uniform(weights[1], weights[2]))
+                   for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    (n,) = args
+    return n, {
+        "path": [(i, i + 1, 1.0) for i in range(n - 1)],
+        "cycle": [(i, (i + 1) % n, 1.0) for i in range(n)],
+        "star": [(0, i, 1.0) for i in range(1, n)],
+        "complete": [(i, j, 1.0) for i in range(n) for j in range(i + 1, n)],
+    }[kind]
+
+
+def assert_same_graph(g, expected):
+    assert g.n == expected.n
+    for column in ("u", "v", "w"):
+        assert getattr(g, column).tobytes() == getattr(expected, column).tobytes()
+
+
+@pytest.mark.parametrize("kind, args", GENERATOR_CASES, ids=[f"{kind}{args}" for kind, args in GENERATOR_CASES])
+def test_generators_equal_build_graph_over_their_triples(kind, args):
+    assert_same_graph(GENERATORS[kind](*args), build_graph(*generator_triples(kind, *args)))
+
+
+@st.composite
+def edge_list_texts(draw):
+    """(text, expected): an edge-list text with or without a header, with
+    comments, blank lines, self-loops, repeated pairs, ids to remap or out
+    of range and now and then a negative weight, in LF or CRLF; expected
+    is build_graph over its triples, or the error that loading raises."""
+    n = draw(st.none() | st.integers(1, 6))
+    if n is None:
+        vertex = st.integers(-3, 6) | st.sampled_from([10**30, -(10**25), 2**63])
+    else:
+        vertex = st.integers(0, n - 1) | st.sampled_from([-1, n, 10**30])
+    weight = st.sampled_from(["0.0", "-0.0", "1", "2.5", "-1.5"]) | st.floats(0, 10).map(repr)
+    edges = draw(st.lists(st.tuples(vertex, vertex, weight), max_size=12))
+    filler = st.sampled_from(["", "   ", "# a comment", "#"])
+    lines = draw(st.lists(filler, max_size=2))
+    if n is not None:
+        lines.append(f"# {n} {len(edges)}")
+    triples = []
+    for u, v, w in edges:
+        lines += draw(st.lists(filler, max_size=1))
+        lines.append(f"{u} {v} {w}")
+        if float(w) < 0:
+            return text_of(draw, lines), DomainError(f"line {len(lines)}: negative weight {float(w)}")
+        triples.append((u, v, float(w)))
+    text = text_of(draw, lines)
+    if n is not None:
+        for u, v, _ in triples:
+            if not (0 <= u < n and 0 <= v < n):
+                return text, EdgeListError(f"vertex id out of range [0,{n}) in edge ({u},{v})")
+        return text, build_graph(n, triples)
+    ids = sorted({x for u, v, _ in triples for x in (u, v)})
+    if not ids:
+        return text, EdgeListError("no vertices found (empty input needs a '# n m' header)")
+    remap = {x: i for i, x in enumerate(ids)}
+    return text, build_graph(len(ids), [(remap[u], remap[v], w) for u, v, w in triples])
+
+
+def text_of(draw, lines):
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=300)
+@given(edge_list_texts())
+def test_load_edge_list_equals_build_graph_over_its_triples(case):
+    text, expected = case
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as got:
+            load_edge_list(io.StringIO(text))
+        assert str(got.value) == str(expected)
+    else:
+        assert_same_graph(load_edge_list(io.StringIO(text)), expected)
+
+
+def test_headerless_ids_beyond_int64_are_remapped():
+    g = load_edge_list(io.StringIO(f"{10**30} 5 1.0\n5 {-(10**25)} 2.0"))
+    assert g.n == 3
+    assert g.edges == [(1, 2, 1.0), (0, 1, 2.0)]
+
+
+def test_header_range_check_reports_ids_beyond_int64():
+    with pytest.raises(EdgeListError) as err:
+        load_edge_list(io.StringIO(f"# 3 1\n0 {10**30} 1.0\n"))
+    assert str(err.value) == "vertex id out of range [0,3) in edge (0,1000000000000000000000000000000)"
