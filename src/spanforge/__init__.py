@@ -29,9 +29,11 @@ from .clustering import (
     singleton_clustering,
 )
 from .spanner import (
+    CostModel,
     SpannerBuild,
     baswana_sen,
     cluster_merge_spanner,
+    cost_model,
     epoch_count,
     epoch_schedule,
     general_spanner,
@@ -56,6 +58,5 @@ from .apsp import (
     apsp_matrix,
     coordinator_budget,
 )
-from .cli import CostModel, cost_model
 
 __version__ = "0.1.0"

@@ -3,7 +3,9 @@ round-cost model, and run size/APSP studies.  All output is
 machine-readable JSON (plus CSV for per-row data); reports validate
 against report.schema.json shipped with the package.
 
-Exit codes: 0 success/pass, 1 domain or audit failure, 2 usage error.
+Exit codes: 0 success/pass, 1 domain or audit failure, 2 usage error;
+an unreadable or non-UTF-8 input, or an unwritable output path, is exit
+1 with one "error:" line.
 """
 
 from __future__ import annotations
@@ -13,68 +15,17 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .apsp import ApspBoundError, apsp_experiment
 from .graph import (
     DomainError, EdgeListError, WeightedGraph, load_edge_list, parse_generator_spec, write_edge_list
 )
 from .oracles import ALGORITHMS, audit_stretch, size_study
-from .spanner import SpannerBuild, epoch_count, stretch_bound
+from .spanner import CostModel, SpannerBuild, _check_gamma, cost_model, stretch_bound
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Analytic round costs for the epoch schedule.
-
-    epochs = ceil(ln k / ln(t+1)); iterations = epochs * t;
-    mpc_rounds = ceil(iterations / gamma) models machines with n**gamma
-    memory; clique_rounds = iterations.
-    """
-
-    k: int
-    t: int
-    gamma: float
-    epochs: int
-    iterations: int
-    mpc_rounds: int
-    clique_rounds: int
-
-    def as_dict(self) -> dict:
-        return {
-            "type": "cost",
-            "k": self.k,
-            "t": self.t,
-            "gamma": self.gamma,
-            "epochs": self.epochs,
-            "iterations": self.iterations,
-            "mpc_rounds": self.mpc_rounds,
-            "clique_rounds": self.clique_rounds,
-        }
-
-
-def _check_gamma(gamma: float) -> None:
-    if not (0.0 < gamma <= 1.0):
-        raise DomainError(f"gamma must be in (0, 1], got {gamma}")
-
-
-def cost_model(k: int, t: int, gamma: float = 1.0) -> CostModel:
-    _check_gamma(gamma)
-    epochs = epoch_count(k, t)
-    iterations = epochs * t
-    try:
-        mpc_rounds = math.ceil(iterations / gamma)
-    except OverflowError:
-        raise DomainError(f"mpc_rounds = iterations / gamma overflows at gamma = {gamma}") from None
-    return CostModel(
-        k=k,
-        t=t,
-        gamma=gamma,
-        epochs=epochs,
-        iterations=iterations,
-        mpc_rounds=mpc_rounds,
-        clique_rounds=iterations,
-    )
+class _UsageError(Exception):
+    """A misuse of the command line: exit 2, with the message printed as given."""
 
 
 def _dump(report: dict, out: str | None) -> None:
@@ -93,40 +44,36 @@ def build_report(source: str, algo: str, build: SpannerBuild, gamma: float) -> d
     return report
 
 
-def _general_only_error(args) -> str | None:
+def _check_general_only(args) -> None:
     """Usage check shared by build and study: only --algo general reads
     --t, and only it runs study's --apsp."""
     if args.algo != "general":
         if args.t is not None:
-            return "--t is only valid with --algo general"
+            raise _UsageError("--t is only valid with --algo general")
         if getattr(args, "apsp", False):
-            return "--apsp is only valid with --algo general"
-    return None
+            raise _UsageError("--apsp is only valid with --algo general")
+
+
+def _generator(spec: str):
+    """parse_generator_spec, with a spec outside its domain as a usage error."""
+    try:
+        return parse_generator_spec(spec)
+    except DomainError as exc:
+        raise _UsageError(f"error: {exc}") from None
 
 
 def cmd_build(args) -> int:
-    error = _general_only_error(args)
-    if error:
-        print(error, file=sys.stderr)
-        return 2
+    _check_general_only(args)
     t = args.t if args.t is not None else 1
     if args.gen is not None:
-        try:
-            source, make = parse_generator_spec(args.gen)
-        except DomainError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    try:
-        _check_gamma(args.gamma)
-        if args.gen is None:
-            source, g = args.input, load_edge_list(args.input)
-        else:
-            g = make(args.seed)
-        build = ALGORITHMS[args.algo](g, args.k, t, args.seed)
-        report = build_report(source, args.algo, build, args.gamma)
-    except (DomainError, EdgeListError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        source, make = _generator(args.gen)
+    _check_gamma(args.gamma)
+    if args.gen is None:
+        source, g = args.input, load_edge_list(args.input)
+    else:
+        g = make(args.seed)
+    build = ALGORITHMS[args.algo](g, args.k, t, args.seed)
+    report = build_report(source, args.algo, build, args.gamma)
     if args.spanner_out:
         ids = build.spanner_edges
         spanner = WeightedGraph(g.n, g.u[ids], g.v[ids], g.w[ids])
@@ -150,7 +97,7 @@ def _parse_auto_bound(spec: str) -> float:
             return stretch_bound(algo, *numbers)
     except (ValueError, DomainError):
         pass
-    raise DomainError(f"bad --auto spec {spec!r} (use bs:K, merge:K, twophase:K or general:K,T)")
+    raise _UsageError(f"error: bad --auto spec {spec!r} (use bs:K, merge:K, twophase:K or general:K,T)")
 
 
 def _finite_bound(text: str) -> float:
@@ -165,15 +112,10 @@ def _finite_bound(text: str) -> float:
 
 
 def cmd_audit(args) -> int:
-    try:
-        g = load_edge_list(args.input)
-        spanner_graph = load_edge_list(args.spanner, n=g.n)
-    except (DomainError, EdgeListError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    g = load_edge_list(args.input)
+    spanner_graph = load_edge_list(args.spanner, n=g.n)
     if spanner_graph.n != g.n:
-        print(f"error: spanner has {spanner_graph.n} vertices, input has {g.n}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"error: spanner has {spanner_graph.n} vertices, input has {g.n}")
 
     ws = g.w.tolist()
     index = {pair: eid for eid, pair in enumerate(zip(g.u.tolist(), g.v.tolist()))}
@@ -182,19 +124,10 @@ def cmd_audit(args) -> int:
     for u, v, w in pairs:
         eid = index.get((u, v))
         if eid is None or ws[eid] != w:
-            print(f"error: spanner edge ({u},{v},{w}) not present in input graph", file=sys.stderr)
-            return 2
+            raise _UsageError(f"error: spanner edge ({u},{v},{w}) not present in input graph")
         spanner_ids.append(eid)
 
-    if args.bound is not None:
-        bound = args.bound
-    else:
-        try:
-            bound = _parse_auto_bound(args.auto)
-        except DomainError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
+    bound = args.bound if args.bound is not None else _parse_auto_bound(args.auto)
     audit = audit_stretch(g, spanner_ids, bound)
     report = {"type": "audit", "input": args.input, "spanner": args.spanner}
     report.update(audit.as_dict())
@@ -209,73 +142,56 @@ def cmd_audit(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    try:
-        model = cost_model(args.k, args.t, args.gamma)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _dump(model.as_dict(), args.out)
+    _dump(cost_model(args.k, args.t, args.gamma).as_dict(), args.out)
     return 0
 
 
 def cmd_study(args) -> int:
-    error = _general_only_error(args)
-    if error:
-        print(error, file=sys.stderr)
-        return 2
+    _check_general_only(args)
     t = args.t if args.t is not None else 1
-    try:
-        _, make = parse_generator_spec(args.gen)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    _, make = _generator(args.gen)
     if args.trials < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return 2
+        raise _UsageError("error: --trials must be >= 1")
 
-    try:
-        if args.apsp:
-            reports = []
-            for trial in range(args.trials):
-                g = make(args.seed0 + trial)
-                rep = apsp_experiment(g, args.k, t, args.seed0 + trial)
-                reports.append(rep)
-            rows = [
-                {
-                    "trial": i,
-                    "seed": r.seed,
-                    "size": r.spanner_size,
-                    "max_ratio": r.max_ratio,
-                    "mean_ratio": r.mean_ratio,
-                    "pairs": r.pairs,
-                }
-                for i, r in enumerate(reports)
-            ]
-            summary = {
-                "type": "apsp_study",
-                "generator": args.gen,
-                "params": {"k": args.k, "t": t},
-                "trials": args.trials,
-                "mean_size": sum(r.spanner_size for r in reports) / len(reports),
-                "max_ratio": max(r.max_ratio for r in reports),
-                "mean_ratio": sum(r.mean_ratio for r in reports) / len(reports),
+    if args.apsp:
+        reports = []
+        for trial in range(args.trials):
+            g = make(args.seed0 + trial)
+            rep = apsp_experiment(g, args.k, t, args.seed0 + trial)
+            reports.append(rep)
+        rows = [
+            {
+                "trial": i,
+                "seed": r.seed,
+                "size": r.spanner_size,
+                "max_ratio": r.max_ratio,
+                "mean_ratio": r.mean_ratio,
+                "pairs": r.pairs,
             }
-            fieldnames = ["trial", "seed", "size", "max_ratio", "mean_ratio", "pairs"]
-        else:
-            stats = size_study(args.gen, args.k, t, args.trials, args.seed0, args.algo)
-            depth = max((len(tr) for tr in stats.epoch_clusters), default=0)
-            rows = []
-            for i, (size, traj) in enumerate(zip(stats.sizes, stats.epoch_clusters)):
-                row = {"trial": i, "seed": args.seed0 + i, "size": size}
-                for e in range(depth):
-                    row[f"epoch{e + 1}_clusters"] = traj[e] if e < len(traj) else ""
-                rows.append(row)
-            summary = {"type": "study"}
-            summary.update(stats.as_dict())
-            fieldnames = ["trial", "seed", "size"] + [f"epoch{e + 1}_clusters" for e in range(depth)]
-    except (DomainError, ApspBoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+            for i, r in enumerate(reports)
+        ]
+        summary = {
+            "type": "apsp_study",
+            "generator": args.gen,
+            "params": {"k": args.k, "t": t},
+            "trials": args.trials,
+            "mean_size": sum(r.spanner_size for r in reports) / len(reports),
+            "max_ratio": max(r.max_ratio for r in reports),
+            "mean_ratio": sum(r.mean_ratio for r in reports) / len(reports),
+        }
+        fieldnames = ["trial", "seed", "size", "max_ratio", "mean_ratio", "pairs"]
+    else:
+        stats = size_study(args.gen, args.k, t, args.trials, args.seed0, args.algo)
+        depth = max((len(tr) for tr in stats.epoch_clusters), default=0)
+        rows = []
+        for i, (size, traj) in enumerate(zip(stats.sizes, stats.epoch_clusters)):
+            row = {"trial": i, "seed": args.seed0 + i, "size": size}
+            for e in range(depth):
+                row[f"epoch{e + 1}_clusters"] = traj[e] if e < len(traj) else ""
+            rows.append(row)
+        summary = {"type": "study"}
+        summary.update(stats.as_dict())
+        fieldnames = ["trial", "seed", "size"] + [f"epoch{e + 1}_clusters" for e in range(depth)]
 
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -343,7 +259,14 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    except (DomainError, EdgeListError, ApspBoundError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

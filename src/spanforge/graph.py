@@ -233,36 +233,40 @@ def load_edge_list(source: str | Path | IO[str], n: int | None = None) -> Weight
     header_n: int | None = None
     header_line = 0
     us, vs, ws = [], [], []
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if header_n is None and not us:
-                parts = line[1:].split()
-                if len(parts) == 2:
-                    try:
-                        header_n = int(parts[0])
-                        int(parts[1])
-                        header_line = lineno
-                    except ValueError:
-                        header_n = None  # plain comment
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise EdgeListError(f"expected 'u v w', got {line!r}", line=lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2])
-        except ValueError:
-            raise EdgeListError(f"could not parse 'u v w' from {line!r}", line=lineno)
-        if not math.isfinite(w):
-            raise EdgeListError(f"non-finite weight {parts[2]!r}", line=lineno)
-        if w < 0:
-            raise DomainError(f"line {lineno}: negative weight {w}")
-        us.append(u)
-        vs.append(v)
-        ws.append(w)
+    try:
+        for lineno, raw in enumerate(source, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                if header_n is None and not us:
+                    parts = line[1:].split()
+                    if len(parts) == 2:
+                        try:
+                            header_n = int(parts[0])
+                            int(parts[1])
+                            header_line = lineno
+                        except ValueError:
+                            header_n = None  # plain comment
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise EdgeListError(f"expected 'u v w', got {line!r}", line=lineno)
+            try:
+                u, v = int(parts[0]), int(parts[1])
+                w = float(parts[2])
+            except ValueError:
+                raise EdgeListError(f"could not parse 'u v w' from {line!r}", line=lineno)
+            if not math.isfinite(w):
+                raise EdgeListError(f"non-finite weight {parts[2]!r}", line=lineno)
+            if w < 0:
+                raise DomainError(f"line {lineno}: negative weight {w}")
+            us.append(u)
+            vs.append(v)
+            ws.append(w)
+    except UnicodeDecodeError as exc:
+        # Text streams decode in chunks, so the failing line is not known.
+        raise EdgeListError(f"input is not {exc.encoding} text: {exc.reason}") from None
 
     if header_n is None:
         header_n = n

@@ -101,6 +101,44 @@ def epoch_count(k: int, t: int) -> int:
     return l
 
 
+@dataclass(frozen=True)
+class CostModel:
+    """Analytic round costs for the epoch schedule.
+
+    epochs = ceil(ln k / ln(t+1)); iterations = epochs * t;
+    mpc_rounds = ceil(iterations / gamma) models machines with n**gamma
+    memory; clique_rounds = iterations.
+    """
+
+    k: int
+    t: int
+    gamma: float
+    epochs: int
+    iterations: int
+    mpc_rounds: int
+    clique_rounds: int
+
+    def as_dict(self) -> dict:
+        return {"type": "cost", **asdict(self)}
+
+
+def _check_gamma(gamma: float) -> None:
+    if not (0.0 < gamma <= 1.0):
+        raise DomainError(f"gamma must be in (0, 1], got {gamma}")
+
+
+def cost_model(k: int, t: int, gamma: float = 1.0) -> CostModel:
+    _check_gamma(gamma)
+    epochs = epoch_count(k, t)
+    iterations = epochs * t
+    try:
+        mpc_rounds = math.ceil(iterations / gamma)
+    except OverflowError:
+        raise DomainError(f"mpc_rounds = iterations / gamma overflows at gamma = {gamma}") from None
+    return CostModel(k=k, t=t, gamma=gamma, epochs=epochs, iterations=iterations,
+                     mpc_rounds=mpc_rounds, clique_rounds=iterations)
+
+
 def epoch_schedule(k: int, t: int, n: int) -> list[tuple[int, float]]:
     """Formal epoch plan: (epoch index, sampling probability) pairs.
 

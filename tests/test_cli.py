@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import spanforge
 import spanforge.graph
 from spanforge import gen_gnp, load_edge_list, write_edge_list
 from spanforge.cli import cost_model, main
@@ -349,3 +354,94 @@ def test_build_rejects_gamma_before_building(tmp_path, capsys, gamma):
     assert capsys.readouterr().err.startswith("error: gamma must be in (0, 1]")
     assert not spanner_file.exists()
     assert not (tmp_path / "b.json").exists()
+
+
+OUTPUT_FLAGS = {
+    "build --out": ["build", "--gen", "path:5", "--algo", "bs", "--k", "2", "--out"],
+    "build --spanner-out": ["build", "--gen", "path:5", "--algo", "bs", "--k", "2", "--spanner-out"],
+    "audit --out": ["audit", "--input", "{g}", "--spanner", "{g}", "--bound", "1", "--out"],
+    "audit --csv": ["audit", "--input", "{g}", "--spanner", "{g}", "--bound", "1", "--csv"],
+    "cost --out": ["cost", "--k", "4", "--t", "1", "--out"],
+    "study --out": ["study", "--gen", "path:5", "--k", "2", "--trials", "1", "--out"],
+    "study --json": ["study", "--gen", "path:5", "--k", "2", "--trials", "1", "--json"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUT_FLAGS))
+def test_unwritable_output_is_one_error_line(tmp_path, capsys, case):
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text("# 3 2\n0 1 1.0\n1 2 1.0\n")
+    argv = [arg.format(g=graph_file) for arg in OUTPUT_FLAGS[case]]
+    assert run_cli(argv + [str(tmp_path / "missing" / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--input", "{bad}", "--algo", "bs", "--k", "2"],
+        ["audit", "--input", "{bad}", "--spanner", "{g}", "--bound", "1"],
+        ["audit", "--input", "{g}", "--spanner", "{bad}", "--bound", "1"],
+    ],
+    ids=["build --input", "audit --input", "audit --spanner"],
+)
+def test_non_utf8_input_is_one_error_line(tmp_path, capsys, argv):
+    (tmp_path / "bad.txt").write_bytes(b"\xff\xfe0 1 1.0\n")
+    (tmp_path / "g.txt").write_text("# 2 1\n0 1 1.0\n")
+    argv = [arg.format(bad=tmp_path / "bad.txt", g=tmp_path / "g.txt") for arg in argv]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == "error: input is not utf-8 text: invalid start byte\n"
+
+
+BS_K2 = ["--algo", "bs", "--k", "2"]
+USAGE_ERRORS = {
+    "build --t": (["build", "--gen", "path:5", *BS_K2, "--t", "2"],
+                  "--t is only valid with --algo general\n"),
+    "build --t before spec and gamma": (["build", "--gen", "mesh:9", *BS_K2, "--t", "2", "--gamma", "0"],
+                                        "--t is only valid with --algo general\n"),
+    "build spec": (["build", "--gen", "mesh:9", *BS_K2], "error: bad generator spec 'mesh:9'\n"),
+    "build spec before gamma": (["build", "--gen", "gnp:10:2:unit", *BS_K2, "--gamma", "0"],
+                                "error: p must be in [0, 1], got 2.0\n"),
+    "study --t": (["study", "--gen", "path:5", *BS_K2, "--t", "2", "--trials", "1"],
+                  "--t is only valid with --algo general\n"),
+    "study --apsp": (["study", "--gen", "path:5", "--algo", "merge", "--k", "2", "--apsp", "--trials", "1"],
+                     "--apsp is only valid with --algo general\n"),
+    "study spec": (["study", "--gen", "grid:0:5", "--k", "2", "--trials", "1"],
+                   "error: width must be >= 1, got 0\n"),
+    "study --trials": (["study", "--gen", "path:5", "--k", "2", "--trials", "0"],
+                       "error: --trials must be >= 1\n"),
+    "audit --auto": (["audit", "--input", "{g}", "--spanner", "{g}", "--auto", "foo:3"],
+                     "error: bad --auto spec 'foo:3' (use bs:K, merge:K, twophase:K or general:K,T)\n"),
+    "audit vertex count": (["audit", "--input", "{g}", "--spanner", "{n5}", "--bound", "3"],
+                           "error: spanner has 5 vertices, input has 4\n"),
+    "audit missing edge": (["audit", "--input", "{g}", "--spanner", "{pair}", "--bound", "3"],
+                           "error: spanner edge (1,2,1.0) not present in input graph\n"),
+    "audit weight differs": (["audit", "--input", "{g}", "--spanner", "{weight}", "--bound", "3"],
+                             "error: spanner edge (2,3,2.0) not present in input graph\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_errors_exit_2_with_their_messages(tmp_path, capsys, case):
+    files = {"g": "# 4 2\n0 1 1.0\n2 3 1.0\n", "n5": "# 5 1\n2 3 1.0\n",
+             "pair": "# 4 1\n1 2 1.0\n", "weight": "# 4 1\n2 3 2.0\n"}
+    for name, text in files.items():
+        (tmp_path / f"{name}.txt").write_text(text)
+    argv, message = USAGE_ERRORS[case]
+    argv = [arg.format(**{name: tmp_path / f"{name}.txt" for name in files}) for arg in argv]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == message
+
+
+def test_module_entry_point_runs_without_warnings(tmp_path):
+    # The package does not import spanforge.cli, so runpy finds it unloaded.
+    src = str(Path(spanforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spanforge.cli", "cost", "--k", "4", "--t", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["type"] == "cost"

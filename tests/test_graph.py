@@ -61,6 +61,14 @@ def test_load_malformed_line_reports_number():
     assert err.value.line == 2
 
 
+def test_load_non_utf8_input_is_an_edge_list_error(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"\xff\xfe0 1 1.0\n")
+    with pytest.raises(EdgeListError, match="^input is not utf-8 text: ") as err:
+        load_edge_list(path)
+    assert err.value.line is None
+
+
 def test_load_negative_weight_is_domain_error():
     with pytest.raises(DomainError):
         load_edge_list(io.StringIO("0 1 -2\n"))

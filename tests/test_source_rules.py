@@ -61,3 +61,16 @@ def test_package_imports_only_the_standard_library_numpy_and_itself():
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] not in allowed]
     assert found == []
+
+
+def test_only_cli_main_writes_to_stderr():
+    # Commands raise; main alone maps an exception to its exit code and
+    # its one stderr line.
+    tree = ast.parse(next(p for p in SOURCES if p.name == "cli.py").read_text(encoding="utf-8"))
+    found = sorted({
+        getattr(top, "name", f"line {top.lineno}")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "stderr"
+    })
+    assert found == ["main"]
