@@ -101,13 +101,16 @@ def _parse_auto_bound(spec: str) -> float:
 
 
 def _finite_bound(text: str) -> float:
-    """argparse type of a stretch bound: NaN and infinities are usage errors."""
+    """argparse type of a stretch bound: NaN, infinities and values below 1,
+    which no spanner can meet, are usage errors."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"a stretch bound must be >= 1, got {text!r}")
     return value
 
 

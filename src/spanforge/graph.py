@@ -19,8 +19,10 @@ idempotent.
 
 from __future__ import annotations
 
+import io
 import math
 import random
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
@@ -225,11 +227,79 @@ def load_edge_list(source: str | Path | IO[str], n: int | None = None) -> Weight
     n stands in for a missing header, so the ids of a file that has none
     are read as given and checked against [0, n) instead of remapped.  A
     header, when present, still sets the vertex count.
+
+    A seekable stream's edge lines go to np.loadtxt first; if it or any
+    check on its columns fails, the whole stream is read again by the
+    line parser, which alone raises, so the graph and every error are
+    the line parser's.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             return load_edge_list(fh, n)
+    if isinstance(source, io.IOBase) and source.seekable():
+        start = source.tell()
+        try:
+            g = _load_columns(source, n)
+        except (ValueError, Warning):
+            g = None
+        if g is not None:
+            return g
+        source.seek(start)
+    return _parse_lines(source, n)
 
+
+# One edge line as np.loadtxt reads it.
+_EDGE_ROW = np.dtype([("u", "<i8"), ("v", "<i8"), ("w", "<f8")])
+
+
+def _load_columns(source: IO[str], n: int | None) -> WeightedGraph | None:
+    """load_edge_list's fast path: the head (blank lines, comments and the
+    header) line by line, then every line from the first edge on through
+    np.loadtxt, with each warning raised.  None when there is no edge
+    line or the header's vertex count is out of range; a bad id or weight
+    raises DomainError from _from_columns."""
+    header_n = None
+    while True:
+        body = source.tell()
+        raw = source.readline()
+        if not raw:
+            return None
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            break
+        if line and header_n is None:
+            header_n = _header_count(line)
+    if header_n is not None:
+        n = header_n
+    if n is not None and not 1 <= n <= MAX_VERTICES:
+        return None
+    source.seek(body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = np.loadtxt(source, _EDGE_ROW, comments=None, ndmin=1)
+    u, v = rows["u"], rows["v"]
+    if n is None:
+        ids, ends = np.unique(np.concatenate((u, v)), return_inverse=True)
+        n, u, v = len(ids), ends[: len(u)], ends[len(u):]
+    return _from_columns(n, u, v, rows["w"])
+
+
+def _header_count(comment: str) -> int | None:
+    """The n of a '# n m' header line, or None for any other comment."""
+    parts = comment[1:].split()
+    if len(parts) == 2:
+        try:
+            count = int(parts[0])
+            int(parts[1])
+            return count
+        except ValueError:
+            pass
+    return None
+
+
+def _parse_lines(source: Iterable[str], n: int | None) -> WeightedGraph:
+    """load_edge_list's line parser: one line at a time, raising on the
+    first bad one."""
     header_n: int | None = None
     header_line = 0
     us, vs, ws = [], [], []
@@ -240,14 +310,9 @@ def load_edge_list(source: str | Path | IO[str], n: int | None = None) -> Weight
                 continue
             if line.startswith("#"):
                 if header_n is None and not us:
-                    parts = line[1:].split()
-                    if len(parts) == 2:
-                        try:
-                            header_n = int(parts[0])
-                            int(parts[1])
-                            header_line = lineno
-                        except ValueError:
-                            header_n = None  # plain comment
+                    header_n = _header_count(line)
+                    if header_n is not None:
+                        header_line = lineno
                 continue
             parts = line.split()
             if len(parts) != 3:
@@ -329,26 +394,63 @@ def _check_gnp(n: int, p: float, weights: WeightSpec) -> None:
         raise DomainError(f"bad uniform weight range ({lo},{hi})")
 
 
+# Draws of one chunk of gen_gnp's stream, bounding its temporaries.
+_DRAW_CHUNK = 2**16
+
+
 def gen_gnp(n: int, p: float, weights: WeightSpec = "unit", seed: int = 0) -> WeightedGraph:
     """Erdős–Rényi G(n, p) with unit or uniform(lo, hi) weights.
 
     A pure function of (n, p, weights, seed): the same arguments always
-    produce the same graph.
+    produce the same graph.  Pair (i, j), i < j, in row-major order takes
+    one draw of random.Random(seed).random() and is an edge if the draw
+    is below p; a weighted edge then takes the next draw d as the weight
+    lo + (hi - lo) * d, as random.Random.uniform would.  numpy's MT19937,
+    started from the same state, gives the same doubles in chunks.
     """
     _check_gnp(n, p, weights)
     unit = weights == "unit"
-    if not unit:
+    *key, pos = random.Random(seed).getstate()[1]
+    bits = np.random.MT19937()
+    bits.state = {"bit_generator": "MT19937", "state": {"key": np.array(key, np.uint32), "pos": pos}}
+    rng = np.random.Generator(bits)
+    pairs = n * (n - 1) // 2
+    hits, draws = [], []  # per chunk: the edges' pair indices, their weights' draws
+    k = 0  # the pair index of the next pair draw
+    weigh = False  # the next draw is the last edge's weight
+    while k < pairs or weigh:
+        d = rng.random(min(_DRAW_CHUNK, pairs - k + weigh))
+        below = np.flatnonzero(d < p)
+        if unit:
+            hits.append(below + k)
+            k += len(d)
+            continue
+        # A draw below p at offset j >= first is an edge, and the draw after
+        # it, here or first in the next chunk, is its weight.
+        carried, first, edge_at = int(weigh), int(weigh), []
+        for j in below.tolist():
+            if j >= first:
+                edge_at.append(j)
+                first = j + 2
+        at = np.array(edge_at, np.int64)
+        weigh = first > len(d)
+        # Each earlier edge's weight draw sits between the pair draws.
+        hits.append(k + at - carried - np.arange(len(at)))
+        weight_at = np.append(np.zeros(carried, np.int64), at + 1)
+        draws.append(d[weight_at[weight_at < len(d)]])
+        k += len(d) - carried - len(at) + weigh
+    hit = np.concatenate(hits or [np.zeros(0, np.int64)])
+    # Row i's pairs start at index start[i] = i(2n - i - 1)/2.
+    rows = np.arange(n, dtype=np.int64)
+    start = rows * (2 * n - rows - 1) // 2
+    u = np.searchsorted(start, hit, side="right") - 1
+    v = hit - start[u] + u + 1
+    if unit:
+        w = np.ones(len(hit))
+    else:
         lo, hi = float(weights[1]), float(weights[2])
-    rng = random.Random(seed)
-    us, vs, ws = [], [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                us.append(i)
-                vs.append(j)
-                if not unit:
-                    ws.append(rng.uniform(lo, hi))
-    return _from_columns(n, us, vs, np.ones(len(us)) if unit else ws)
+        w = lo + (hi - lo) * np.concatenate(draws or [np.zeros(0)])
+    return _from_columns(n, u, v, w)
 
 
 def gen_path(n: int) -> WeightedGraph:

@@ -184,6 +184,30 @@ def test_build_audit_non_finite_bound_exits_2(value):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["0.5", "-1", "0"])
+def test_audit_bound_below_1_exits_2(tmp_path, capsys, value):
+    graph_file = tmp_path / "g.txt"
+    write_edge_list(gen_gnp(10, 0.4, "unit", 1), graph_file)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["audit", "--input", str(graph_file), "--spanner", str(graph_file), "--bound", value])
+    assert exc.value.code == 2
+    assert f"a stretch bound must be >= 1, got '{value}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1", "0.999"])
+def test_build_audit_bound_below_1_exits_2(value):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["build", "--gen", "gnp:20:0.2:unit", "--algo", "bs", "--k", "2", "--audit", value])
+    assert exc.value.code == 2
+
+
+def test_bound_of_1_is_accepted(tmp_path, capsys):
+    graph_file = tmp_path / "g.txt"
+    write_edge_list(gen_gnp(10, 0.4, "unit", 1), graph_file)
+    assert run_cli(["audit", "--input", str(graph_file), "--spanner", str(graph_file), "--bound", "1"]) == 0
+    assert run_cli(["build", "--gen", "gnp:20:0.2:unit", "--algo", "bs", "--k", "1", "--audit", "1"]) == 0
+
+
 def test_audit_csv_rows(tmp_path):
     g = gen_gnp(15, 0.4, "unit", 3)
     graph_file = tmp_path / "g.txt"

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,15 @@ def test_vertex_cap_on_header_and_generator_specs(monkeypatch):
     for spec in ("gnp:101:0.1:unit", "grid:11:10", "path:101"):
         with pytest.raises(DomainError, match="limit 100"):
             parse_generator_spec(spec)
+
+
+def test_vertex_cap_holds_for_files_with_edges(monkeypatch):
+    monkeypatch.setattr(spanforge.graph, "MAX_VERTICES", 100)
+    assert load_edge_list(io.StringIO("# 100 1\n0 99 1.0\n")).n == 100
+    with pytest.raises(EdgeListError, match=r"^line 1: header vertex count 101 outside \[1, 100\]$"):
+        load_edge_list(io.StringIO("# 101 1\n0 1 1.0\n"))
+    with pytest.raises(EdgeListError, match=r"header vertex count 0 outside \[1, 100\]$"):
+        load_edge_list(io.StringIO("0 1 1.0\n"), n=0)
 
 
 def test_header_error_names_the_header_line():
@@ -391,30 +401,69 @@ def test_generators_equal_build_graph_over_their_triples(kind, args):
     assert_same_graph(GENERATORS[kind](*args), build_graph(*generator_triples(kind, *args)))
 
 
+GNP_WEIGHTS = ("unit", ("uniform", 1.0, 10.0))
+GNP_CASES = [(n, p, weights, seed) for weights in GNP_WEIGHTS for p in (0, 0.01, 0.5, 1)
+             for n in (1, 2, 3, 30, 300) for seed in (0, 1, 2**40 + 3)]
+
+
+@pytest.mark.parametrize("n, p, weights, seed", GNP_CASES)
+def test_gen_gnp_equals_the_per_pair_loop(n, p, weights, seed):
+    assert_same_graph(gen_gnp(n, p, weights, seed), build_graph(*generator_triples("gnp", n, p, weights, seed)))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("weights", GNP_WEIGHTS)
+def test_gen_gnp_chunks_split_edges_from_their_weights(monkeypatch, chunk, weights):
+    # With chunks of 1 to 3 draws, a weighted edge's draw and its weight's
+    # draw often fall in different chunks.
+    monkeypatch.setattr(spanforge.graph, "_DRAW_CHUNK", chunk)
+    for n, p, seed in [(n, p, seed) for n in (2, 3, 30) for p in (0.01, 0.5, 1) for seed in (0, 1, 7)]:
+        assert_same_graph(gen_gnp(n, p, weights, seed), build_graph(*generator_triples("gnp", n, p, weights, seed)))
+
+
 @st.composite
 def edge_list_texts(draw):
     """(text, expected): an edge-list text with or without a header, with
     comments, blank lines, self-loops, repeated pairs, ids to remap or out
     of range and now and then a negative weight, in LF or CRLF; expected
-    is build_graph over its triples, or the error that loading raises."""
+    is build_graph over its triples, or the error that loading raises.
+
+    Some tokens and separators are ones that np.loadtxt reads differently
+    from int() and float(), or not at all: tab, \x0b, \x0c and \xa0
+    between fields, underscores, full-width digits, 1.0 as an id, nan and
+    inf, ids beyond int64 and a comment after an edge."""
     n = draw(st.none() | st.integers(1, 6))
     if n is None:
         vertex = st.integers(-3, 6) | st.sampled_from([10**30, -(10**25), 2**63])
     else:
         vertex = st.integers(0, n - 1) | st.sampled_from([-1, n, 10**30])
-    weight = st.sampled_from(["0.0", "-0.0", "1", "2.5", "-1.5"]) | st.floats(0, 10).map(repr)
+    vertex = vertex.map(str) | st.sampled_from(["1_0", "\uff11", "1.0"])
+    weight = st.sampled_from(
+        ["0.0", "-0.0", "1", "2.5", "-1.5", "nan", "inf", "2_5", "\uff12.\uff15"]
+    ) | st.floats(0, 10).map(repr)
+    separator = st.sampled_from([" ", " ", "\t", "\x0b", "\x0c", "\xa0", " \t "])
     edges = draw(st.lists(st.tuples(vertex, vertex, weight), max_size=12))
     filler = st.sampled_from(["", "   ", "# a comment", "#"])
     lines = draw(st.lists(filler, max_size=2))
     if n is not None:
         lines.append(f"# {n} {len(edges)}")
     triples = []
-    for u, v, w in edges:
+    for fields in edges:
         lines += draw(st.lists(filler, max_size=1))
-        lines.append(f"{u} {v} {w}")
-        if float(w) < 0:
-            return text_of(draw, lines), DomainError(f"line {len(lines)}: negative weight {float(w)}")
-        triples.append((u, v, float(w)))
+        line = draw(separator).join(fields[:2]) + draw(separator) + fields[2]
+        line += draw(st.sampled_from(["", "", "", " # c"]))
+        lines.append(line)
+        if len(line.split()) != 3:
+            return text_of(draw, lines), EdgeListError(f"expected 'u v w', got {line!r}", len(lines))
+        try:
+            u, v, w = int(fields[0]), int(fields[1]), float(fields[2])
+        except ValueError:
+            return text_of(draw, lines), EdgeListError(f"could not parse 'u v w' from {line!r}", len(lines))
+        if not math.isfinite(w):
+            return text_of(draw, lines), EdgeListError(f"non-finite weight {fields[2]!r}", len(lines))
+        if w < 0:
+            return text_of(draw, lines), DomainError(f"line {len(lines)}: negative weight {w}")
+        triples.append((u, v, w))
     text = text_of(draw, lines)
     if n is not None:
         for u, v, _ in triples:
@@ -443,6 +492,32 @@ def test_load_edge_list_equals_build_graph_over_its_triples(case):
         assert str(got.value) == str(expected)
     else:
         assert_same_graph(load_edge_list(io.StringIO(text)), expected)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("# 3 1\n0 1 2\n", [(0, 1, 2.0)]),
+    ("# 3 1\n0 1.0 2\n", EdgeListError("could not parse 'u v w' from '0 1.0 2'", 2)),
+])
+def test_loader_takes_the_line_parser_when_loadtxt_warns(monkeypatch, text, expected):
+    # numpy 1.24-1.26 read "1.0" as the int 1 with a DeprecationWarning; a
+    # loadtxt that warns and still returns columns must not be believed.
+    calls = []
+
+    def lenient_loadtxt(source, dtype, **kwargs):
+        calls.append(source)
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated", DeprecationWarning)
+        return np.array([(1, 2, 5.0)], dtype)
+
+    monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the loader alone must turn the warning into a fallback
+        if isinstance(expected, Exception):
+            with pytest.raises(EdgeListError) as got:
+                load_edge_list(io.StringIO(text))
+            assert str(got.value) == str(expected)
+        else:
+            assert load_edge_list(io.StringIO(text)).edges == expected
+    assert len(calls) == 1
 
 
 def test_headerless_ids_beyond_int64_are_remapped():

@@ -1,6 +1,8 @@
 """Rules on the package source itself."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -74,3 +76,13 @@ def test_only_cli_main_writes_to_stderr():
         if isinstance(node, ast.Attribute) and node.attr == "stderr"
     })
     assert found == ["main"]
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy.random costs about 10 ms to import, and only gen_gnp uses it.
+    src = str(Path(spanforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = "import sys, spanforge.cli\nprint('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
