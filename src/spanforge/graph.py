@@ -398,6 +398,17 @@ def _check_gnp(n: int, p: float, weights: WeightSpec) -> None:
 _DRAW_CHUNK = 2**16
 
 
+def _draws(rng: random.Random, count: int) -> np.ndarray:
+    """The next count values of rng.random(), bit for bit.
+
+    Each takes two 32-bit words of rng's Mersenne Twister, a and b, as
+    (a >> 5) * 2**26 + (b >> 6) over 2**53.  getrandbits(64 * count)
+    holds those words in the order drawn, the first one lowest.
+    """
+    words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), "<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
+
+
 def gen_gnp(n: int, p: float, weights: WeightSpec = "unit", seed: int = 0) -> WeightedGraph:
     """Erdős–Rényi G(n, p) with unit or uniform(lo, hi) weights.
 
@@ -405,21 +416,18 @@ def gen_gnp(n: int, p: float, weights: WeightSpec = "unit", seed: int = 0) -> We
     produce the same graph.  Pair (i, j), i < j, in row-major order takes
     one draw of random.Random(seed).random() and is an edge if the draw
     is below p; a weighted edge then takes the next draw d as the weight
-    lo + (hi - lo) * d, as random.Random.uniform would.  numpy's MT19937,
-    started from the same state, gives the same doubles in chunks.
+    lo + (hi - lo) * d, as random.Random.uniform would.  The draws are
+    made a chunk at a time by _draws.
     """
     _check_gnp(n, p, weights)
     unit = weights == "unit"
-    *key, pos = random.Random(seed).getstate()[1]
-    bits = np.random.MT19937()
-    bits.state = {"bit_generator": "MT19937", "state": {"key": np.array(key, np.uint32), "pos": pos}}
-    rng = np.random.Generator(bits)
+    rng = random.Random(seed)
     pairs = n * (n - 1) // 2
     hits, draws = [], []  # per chunk: the edges' pair indices, their weights' draws
     k = 0  # the pair index of the next pair draw
     weigh = False  # the next draw is the last edge's weight
     while k < pairs or weigh:
-        d = rng.random(min(_DRAW_CHUNK, pairs - k + weigh))
+        d = _draws(rng, min(_DRAW_CHUNK, pairs - k + weigh))
         below = np.flatnonzero(d < p)
         if unit:
             hits.append(below + k)

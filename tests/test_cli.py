@@ -201,7 +201,7 @@ def test_build_audit_bound_below_1_exits_2(value):
     assert exc.value.code == 2
 
 
-def test_bound_of_1_is_accepted(tmp_path, capsys):
+def test_bound_of_1_is_accepted(tmp_path):
     graph_file = tmp_path / "g.txt"
     write_edge_list(gen_gnp(10, 0.4, "unit", 1), graph_file)
     assert run_cli(["audit", "--input", str(graph_file), "--spanner", str(graph_file), "--bound", "1"]) == 0

@@ -484,6 +484,13 @@ def text_of(draw, lines):
 
 @settings(max_examples=300)
 @given(edge_list_texts())
+@example(("# 3 1\n0 1 2.5\n", build_graph(3, [(0, 1, 2.5)])))  # a one-line body
+@example(("# 3 0\n# c\n\n", build_graph(3, [])))  # a body with no edges
+@example(("0\t1\x0b2\n1\x0c2\xa03\n", build_graph(3, [(0, 1, 2.0), (1, 2, 3.0)])))
+@example(("1_0 \uff11 2_5\n", build_graph(2, [(1, 0, 25.0)])))
+@example(("0 1 2 # c\n", EdgeListError("expected 'u v w', got '0 1 2 # c'", 1)))
+@example(("0 1 nan\n", EdgeListError("non-finite weight 'nan'", 1)))
+@example((f"# 3 1\n0 {2**63} 1.0\n", EdgeListError(f"vertex id out of range [0,3) in edge (0,{2**63})")))
 def test_load_edge_list_equals_build_graph_over_its_triples(case):
     text, expected = case
     if isinstance(expected, Exception):
@@ -492,6 +499,22 @@ def test_load_edge_list_equals_build_graph_over_its_triples(case):
         assert str(got.value) == str(expected)
     else:
         assert_same_graph(load_edge_list(io.StringIO(text)), expected)
+
+
+def test_written_edge_lists_load_without_the_line_parser(tmp_path, monkeypatch):
+    # What write_edge_list writes is what loadtxt reads; only the line
+    # parser's speed is at stake here, not the graph.
+    g = gen_gnp(60, 0.2, ("uniform", 0, 5), 3)
+    path = tmp_path / "g.txt"
+    write_edge_list(g, path)
+    headerless = "".join(path.read_text().splitlines(keepends=True)[1:])
+
+    def no_line_parser(source, n):
+        raise AssertionError("took the line parser")
+
+    monkeypatch.setattr(spanforge.graph, "_parse_lines", no_line_parser)
+    assert_same_graph(load_edge_list(path), g)
+    assert_same_graph(load_edge_list(io.StringIO(headerless), n=g.n), g)
 
 
 @pytest.mark.parametrize("text, expected", [
