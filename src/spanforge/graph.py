@@ -239,12 +239,9 @@ def load_edge_list(source: str | Path | IO[str], n: int | None = None) -> Weight
     if isinstance(source, io.IOBase) and source.seekable():
         start = source.tell()
         try:
-            g = _load_columns(source, n)
+            return _load_columns(source, n)
         except (ValueError, Warning):
-            g = None
-        if g is not None:
-            return g
-        source.seek(start)
+            source.seek(start)
     return _parse_lines(source, n)
 
 
@@ -252,18 +249,19 @@ def load_edge_list(source: str | Path | IO[str], n: int | None = None) -> Weight
 _EDGE_ROW = np.dtype([("u", "<i8"), ("v", "<i8"), ("w", "<f8")])
 
 
-def _load_columns(source: IO[str], n: int | None) -> WeightedGraph | None:
+def _load_columns(source: IO[str], n: int | None) -> WeightedGraph:
     """load_edge_list's fast path: the head (blank lines, comments and the
     header) line by line, then every line from the first edge on through
-    np.loadtxt, with each warning raised.  None when there is no edge
-    line or the header's vertex count is out of range; a bad id or weight
-    raises DomainError from _from_columns."""
+    np.loadtxt.  Raises a ValueError or a Warning whenever the line parser
+    must decide: no edge line, a vertex count out of range, a line that
+    loadtxt rejects or warns about, or a bad id or weight (DomainError
+    from _from_columns)."""
     header_n = None
     while True:
         body = source.tell()
         raw = source.readline()
         if not raw:
-            return None
+            raise ValueError("no edge line")
         line = raw.strip()
         if line and not line.startswith("#"):
             break
@@ -272,7 +270,7 @@ def _load_columns(source: IO[str], n: int | None) -> WeightedGraph | None:
     if header_n is not None:
         n = header_n
     if n is not None and not 1 <= n <= MAX_VERTICES:
-        return None
+        raise ValueError(f"vertex count {n} out of range")
     source.seek(body)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
