@@ -236,13 +236,25 @@ def load_edge_list(source: str | Path | IO[str], n: int | None = None) -> Weight
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             return load_edge_list(fh, n)
-    if isinstance(source, io.IOBase) and source.seekable():
-        start = source.tell()
+    start = _rewind_point(source)
+    if start is not None:
         try:
             return _load_columns(source, n)
         except (ValueError, Warning):
             source.seek(start)
     return _parse_lines(source, n)
+
+
+def _rewind_point(source: Iterable[str]) -> int | None:
+    """The position to read a stream again from, or None when it cannot
+    seek back: not a seekable stream, or a text file that next() has read
+    from, which cannot tell its position."""
+    if isinstance(source, io.IOBase) and source.seekable():
+        try:
+            return source.tell()
+        except OSError:
+            pass
+    return None
 
 
 # One edge line as np.loadtxt reads it.
@@ -423,7 +435,7 @@ def gen_gnp(n: int, p: float, weights: WeightSpec = "unit", seed: int = 0) -> We
     unit = weights == "unit"
     rng = random.Random(seed)
     pairs = n * (n - 1) // 2
-    hits, draws = [], []  # per chunk: the edges' pair indices, their weights' draws
+    hits, weight_draws = [], []  # per chunk: edge pair indices, weight draws
     k = 0  # the pair index of the next pair draw
     weigh = False  # the next draw is the last edge's weight
     while k < pairs or weigh:
@@ -445,7 +457,7 @@ def gen_gnp(n: int, p: float, weights: WeightSpec = "unit", seed: int = 0) -> We
         # Each earlier edge's weight draw sits between the pair draws.
         hits.append(k + at - carried - np.arange(len(at)))
         weight_at = np.append(np.zeros(carried, np.int64), at + 1)
-        draws.append(d[weight_at[weight_at < len(d)]])
+        weight_draws.append(d[weight_at[weight_at < len(d)]])
         k += len(d) - carried - len(at) + weigh
     hit = np.concatenate(hits or [np.zeros(0, np.int64)])
     # Row i's pairs start at index start[i] = i(2n - i - 1)/2.
@@ -457,7 +469,7 @@ def gen_gnp(n: int, p: float, weights: WeightSpec = "unit", seed: int = 0) -> We
         w = np.ones(len(hit))
     else:
         lo, hi = float(weights[1]), float(weights[2])
-        w = lo + (hi - lo) * np.concatenate(draws or [np.zeros(0)])
+        w = lo + (hi - lo) * np.concatenate(weight_draws or [np.zeros(0)])
     return _from_columns(n, u, v, w)
 
 

@@ -408,7 +408,8 @@ GNP_CASES = [(n, p, weights, seed) for weights in GNP_WEIGHTS for p in (0, 0.01,
 
 @pytest.mark.parametrize("n, p, weights, seed", GNP_CASES)
 def test_gen_gnp_equals_the_per_pair_loop(n, p, weights, seed):
-    assert_same_graph(gen_gnp(n, p, weights, seed), build_graph(*generator_triples("gnp", n, p, weights, seed)))
+    expected = build_graph(*generator_triples("gnp", n, p, weights, seed))
+    assert_same_graph(gen_gnp(n, p, weights, seed), expected)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3])
@@ -418,7 +419,8 @@ def test_gen_gnp_chunks_split_edges_from_their_weights(monkeypatch, chunk, weigh
     # draw often fall in different chunks.
     monkeypatch.setattr(spanforge.graph, "_DRAW_CHUNK", chunk)
     for n, p, seed in [(n, p, seed) for n in (2, 3, 30) for p in (0.01, 0.5, 1) for seed in (0, 1, 7)]:
-        assert_same_graph(gen_gnp(n, p, weights, seed), build_graph(*generator_triples("gnp", n, p, weights, seed)))
+        expected = build_graph(*generator_triples("gnp", n, p, weights, seed))
+        assert_same_graph(gen_gnp(n, p, weights, seed), expected)
 
 
 @st.composite
@@ -499,6 +501,15 @@ def test_load_edge_list_equals_build_graph_over_its_triples(case):
         assert str(got.value) == str(expected)
     else:
         assert_same_graph(load_edge_list(io.StringIO(text)), expected)
+
+
+def test_load_from_a_file_that_next_has_read_from(tmp_path):
+    # Such a file cannot tell its position, so it cannot be read twice.
+    path = tmp_path / "g.txt"
+    path.write_text("# 3 2\n0 1 1.0\n1 2 2.0\n")
+    with open(path) as fh:
+        next(fh)
+        assert load_edge_list(fh, n=3).edges == [(0, 1, 1.0), (1, 2, 2.0)]
 
 
 def test_written_edge_lists_load_without_the_line_parser(tmp_path, monkeypatch):
