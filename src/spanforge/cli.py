@@ -16,6 +16,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .apsp import ApspBoundError, apsp_experiment
 from .graph import (
     DomainError, EdgeListError, WeightedGraph, load_edge_list, parse_generator_spec, write_edge_list
@@ -75,7 +77,7 @@ def cmd_build(args) -> int:
     build = ALGORITHMS[args.algo](g, args.k, t, args.seed)
     report = build_report(source, args.algo, build, args.gamma)
     if args.spanner_out:
-        ids = build.spanner_edges
+        ids = np.array(build.spanner_edges, np.intp)
         spanner = WeightedGraph(g.n, g.u[ids], g.v[ids], g.w[ids])
         write_edge_list(spanner, args.spanner_out)
     status = 0

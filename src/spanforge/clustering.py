@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import DomainError, WeightedGraph, sort_pairs
+from .graph import DomainError, WeightedGraph, sort_pairs, weight_order
 
 
 @dataclass
@@ -211,6 +211,11 @@ def contract(
     minimum-weight edge is kept, ties broken by smaller edge id.  Returns
     the quotient and the sorted dropped duplicates, so the caller can mark
     them discarded; the kept edges are the surviving ones not dropped.
+
+    weight_order lists the surviving edges by (weight, edge id), which
+    costs one O(m) check when they come in that order, as the engine's
+    live edges do; one sort_pairs of (super-node pair, that rank) then
+    puts each pair's kept edge first.
     """
     cids = clustering.clusters()
     index_of = np.full(len(clustering.cluster_of), -1, np.int32)
@@ -224,8 +229,7 @@ def contract(
     if bad.any():
         raise ValueError(f"surviving edge {eids[bad.argmax()]} does not cross two clusters")
     # Sorted by super-node pair, then (w, edge id): all but a pair's first edge drop.
-    by_weight = np.argsort(eids)
-    by_weight = by_weight[np.argsort(g.w[eids[by_weight]], kind="stable")]
+    by_weight = weight_order(g.w[eids], eids)
     pair = np.minimum(a, b)[by_weight].astype(np.int64) * len(cids) + np.maximum(a, b)[by_weight]
     rank = np.arange(len(eids))
     sort_pairs(pair, rank, max(len(eids), 1))

@@ -90,8 +90,11 @@ class WeightedGraph:
         u, v, w = self.u, self.v, self.w
         bad_ends = ~((0 <= u) & (u < v) & (v < min(self.n, 2**31)))
         bad_weight = ~(np.isfinite(w) & (w >= 0))
-        repeat = np.ones(self.m, bool)  # the pair is on an earlier edge
-        repeat[np.unique(u.astype(np.int64) << 32 | v.view(np.uint32), return_index=True)[1]] = False
+        pair = u.astype(np.int64) << 32 | v.view(np.uint32)
+        order = weight_order(pair)  # by pair, then edge id
+        pair = pair[order]
+        repeat = np.zeros(self.m, bool)  # the pair is on an earlier edge
+        repeat[order[1:][pair[1:] == pair[:-1]]] = True
         for eid in np.flatnonzero(bad_ends | bad_weight | repeat)[:1].tolist():
             if bad_ends[eid]:
                 raise ValueError(f"edge {eid} endpoints ({u[eid]}, {v[eid]}) not 0 <= u < v < n")
@@ -121,24 +124,32 @@ def build_graph(n: int, raw_edges: Iterable[tuple[int, int, float]]) -> Weighted
 
 
 def _from_columns(n: int, u, v, w) -> WeightedGraph:
-    """build_graph's normalization of columns u, v, w, for a checked n and ids that fit int64."""
+    """build_graph's normalization of columns u, v, w, for a checked n and ids that fit int64.
+
+    One sort of the packed (vertex pair, input position) pairs lists each
+    pair's triples in input order, with no sort by weight: a running
+    minimum over each pair's run finds its lightest weight, and a second
+    one its earliest triple of that weight.
+    """
     u, v, w = np.asarray(u, np.int64), np.asarray(v, np.int64), np.asarray(w, np.float64)
     if not np.all((0 <= u) & (u < n) & (0 <= v) & (v < n) & (0 <= w) & (w < math.inf)):
         raise DomainError(f"edge columns hold an id outside [0,{n}) or a bad weight")
     pos = np.flatnonzero(u != v)  # input positions of the non-loops
     lo, hi, w = np.minimum(u[pos], v[pos]), np.maximum(u[pos], v[pos]), w[pos]
-    del u, v  # free them before the sort makes its index arrays
-    # By pair, then weight, then input position: sort (pair, rank) by the
-    # triples' rank in a stable weight order, then map the ranks back.
-    rank = np.argsort(w, kind="stable")
-    pair, order = (lo * n + hi)[rank], np.arange(len(pos))
-    sort_pairs(pair, order, len(pos))
-    order = rank[order]
+    del u, v, pos  # free them before the sort
+    pair, order = lo * n + hi, np.arange(len(w))
+    sort_pairs(pair, order, max(len(w), 1))
     start = np.flatnonzero(np.diff(pair, prepend=-1))
+    del pair
+    run_w = w[order]
+    lightest = run_w == np.repeat(np.minimum.reduceat(run_w, start), np.diff(start, append=len(w)))
+    del run_w
     # Each pair's lightest triple, earliest among equals, is put at the
-    # slot of the pair's first triple.
-    slot = np.full(len(pos), -1, np.intp)
-    slot[np.minimum.reduceat(order, start)] = order[start]
+    # slot of the pair's first triple, so edges number the pairs by their
+    # first occurrence.
+    slot = np.full(len(w), -1, np.intp)
+    slot[order[start]] = np.minimum.reduceat(np.where(lightest, order, len(w)), start)
+    del order, lightest
     ids = slot[slot >= 0]
     return WeightedGraph(n, lo[ids], hi[ids], w[ids])
 
@@ -149,7 +160,14 @@ def sort_pairs(major: np.ndarray, minor: np.ndarray, bound: int) -> None:
     major is int64 and minor int32 or int64, with major >= 0 and
     0 <= minor < bound.  While every pair packs into one int64 as
     major * bound + minor, one plain sort of the packed values does it,
-    with no index array; otherwise a lexsort does.
+    with no index array; equal packed values are equal pairs, so numpy's
+    default sort needs no stability.  Otherwise a lexsort does.
+
+    It is the one sort of the build path past weight_order's:
+    _from_columns sorts (vertex pair, input position), weight_order
+    (weight rank, position or id) when weights tie, the engine (node and
+    far cluster, live position) and contract (super-node pair, rank in
+    weight order).
     """
     if len(major) and (int(major.max()) + 1) * bound > 2**63:
         order = np.lexsort((minor, major))
@@ -160,6 +178,45 @@ def sort_pairs(major: np.ndarray, minor: np.ndarray, bound: int) -> None:
     major.sort()
     np.remainder(major, bound, out=minor)
     major //= bound
+
+
+def weight_order(w: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
+    """The positions of w, finite numbers, in ascending order, ties by
+    position: the order np.argsort(w, kind="stable") gives.  With ids,
+    distinct ints, ties go by id instead: the order np.lexsort((ids, w))
+    gives.
+
+    numpy's stable float sort is a timsort, several times slower than its
+    default sort.  So w already in that order costs one O(m) check, other
+    w one default sort, and only when some values are equal does one
+    sort_pairs of packed (value rank, position or id rank) pairs put each
+    run of equal values in order.
+    """
+    m = len(w)
+    down = w[1:] < w[:-1]
+    if ids is not None:
+        down |= (w[1:] == w[:-1]) & (ids[1:] < ids[:-1])
+    if not down.any():
+        return np.arange(m)
+    del down
+    order = np.argsort(w)
+    run_w = w[order]
+    new = run_w[1:] != run_w[:-1]
+    del run_w
+    if new.all():
+        return order
+    rank = np.zeros(m, np.int64)
+    np.cumsum(new, out=rank[1:])
+    del new
+    if ids is None:
+        sort_pairs(rank, order, m)
+        return order
+    by_id = np.argsort(ids)
+    id_rank = np.empty(m, np.intp)
+    id_rank[by_id] = np.arange(m)
+    tie = id_rank[order]
+    sort_pairs(rank, tie, m)
+    return by_id[tie]
 
 
 def edge_id_list(g: WeightedGraph, edge_ids: Iterable[int] | None = None) -> Sequence[int]:
@@ -311,7 +368,7 @@ def _parse_lines(source: Iterable[str], n: int | None) -> WeightedGraph:
     """load_edge_list's line parser: one line at a time, raising on the
     first bad one."""
     header_n: int | None = None
-    header_line = 0
+    header_line: int | None = None  # stays None for a caller's n
     us, vs, ws = [], [], []
     try:
         for lineno, raw in enumerate(source, start=1):

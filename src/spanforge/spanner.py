@@ -41,7 +41,7 @@ from .clustering import (
     sample_clusters,
     singleton_clustering,
 )
-from .graph import DomainError, WeightedGraph, sort_pairs
+from .graph import DomainError, WeightedGraph, sort_pairs, weight_order
 
 # Disposition rule tags for discarded edges.
 RULE_JOIN = "join"                 # superseded while joining a sampled neighbor
@@ -278,14 +278,12 @@ class _EdgeLedger:
         self.state[eids[self.state[eids] == SpannerBuild.LIVE]] = SpannerBuild.IN
 
     def discard(self, eids: np.ndarray, code: int | np.ndarray) -> None:
-        """Discard the live edges among eids under a record code, or one
-        code per eid; an edge listed twice takes the code of its first
-        listing."""
-        eids, first = np.unique(eids, return_index=True)
-        live = self.state[eids] == SpannerBuild.LIVE
+        """Discard the live edges among eids under one record code, or
+        under code[i] for eids[i]; then eids lists each edge at most once."""
+        live = np.flatnonzero(self.state[eids] == SpannerBuild.LIVE)
         eids = eids[live]
         self.state[eids] = SpannerBuild.OUT
-        self.record[eids] = code if np.isscalar(code) else code[first[live]]
+        self.record[eids] = code if np.isscalar(code) else code[live]
 
     def decided(self, eids: np.ndarray) -> tuple[int, int]:
         """How many of eids are in the spanner and how many are discarded."""
@@ -296,10 +294,9 @@ class _EdgeLedger:
         )
 
 
-def _check_weight_order(g: WeightedGraph, live: np.ndarray) -> None:
+def _check_weight_order(w: np.ndarray) -> None:
     """The engine breaks weight ties by position in live, which therefore
-    lists the live edges by weight."""
-    w = g.w[live]
+    lists the live edges by weight; w is their weights in live order."""
     if np.any(w[1:] < w[:-1]):
         raise RuntimeError("live edges are not sorted by weight")
 
@@ -336,7 +333,8 @@ def _run_iteration(
     The other edges of kept groups are discarded after all adds, an edge
     discarded from both ends taking the smaller node's rule.  prefix is put
     before every discard rule."""
-    _check_weight_order(g, live)
+    w = g.w[live]
+    _check_weight_order(w)
     a, b = super_of[g.u[live]], super_of[g.v[live]]
     if np.any((a < 0) | (b < 0)):
         raise RuntimeError("a live edge has an end outside the quotient")
@@ -349,44 +347,43 @@ def _run_iteration(
     n_ids = len(d.cluster_of)
     in_sampled = np.zeros(n_ids, bool)
     in_sampled[sampled] = True
-    sides = [(a, cb, ~in_sampled[ca]), (b, ca, ~in_sampled[cb])]
-    del ca, cb
-    rows = sum(np.count_nonzero(keep) for _, _, keep in sides)
+    sides = [(a, cb, np.flatnonzero(~in_sampled[ca])), (b, ca, np.flatnonzero(~in_sampled[cb]))]
+    rows = sum(len(at) for _, _, at in sides)
     group, pos = np.empty(rows, np.int64), np.empty(rows, np.int32)
     start = 0
-    for node, far, keep in sides:
-        end = start + np.count_nonzero(keep)
-        group[start:end] = node[keep]
+    for node, far, at in sides:
+        end = start + len(at)
+        group[start:end] = node[at]
         group[start:end] *= n_ids
-        group[start:end] += far[keep]
-        pos[start:end] = np.flatnonzero(keep)
+        group[start:end] += far[at]
+        pos[start:end] = at
         start = end
-    del a, b, sides, node, far, keep
+    del ca, cb, sides, node, far, at
     sort_pairs(group, pos, max(len(live), 1))
 
-    # Per row: its node, its live position and whether it leads into a
-    # sampled cluster.  A group's first row is its lightest edge.
-    first = _group_starts(group)
-    far = np.empty(rows, np.int32)
-    np.divmod(group, n_ids, out=(group, far))
-    into_sampled = in_sampled[far]
-    node = group.astype(np.int32)
-    del group, far
+    # Per row: its node and live position.  A group's first row is its
+    # lightest edge; best_into says whether it leads into a sampled cluster.
+    first_row = _group_starts(group)
+    first = np.flatnonzero(first_row)
+    node = group // n_ids
+    best_into = in_sampled[group[first] - node[first] * n_ids]
+    del group
     best_node, best_pos = node[first], pos[first]
 
     # A joining node's join edge is its earliest best edge into a sampled
-    # cluster; it keeps that group and the groups strictly lighter, which
-    # start before the first live position of the join edge's weight.
-    best_into = into_sampled[first]
-    del into_sampled
+    # cluster, the least such position over the node's run of groups; it
+    # keeps that group and the groups strictly lighter, which start before
+    # the first live position of the join edge's weight.
     no_join = len(live)
+    runs = np.flatnonzero(_group_starts(best_node))
     join_pos = np.full(n_ids, no_join, np.int32)
-    np.minimum.at(join_pos, best_node[best_into], best_pos[best_into])
+    join_pos[best_node[runs]] = np.minimum.reduceat(np.where(best_into, best_pos, no_join), runs)
+    del best_into, runs
     joiner = np.flatnonzero(join_pos < no_join)
     limit = np.full(n_ids, no_join, np.int32)
-    limit[joiner] = np.searchsorted(g.w[live], g.w[live[join_pos[joiner]]])
+    limit[joiner] = np.searchsorted(w, w[join_pos[joiner]])
     kept = (best_pos < limit[best_node]) | (best_pos == join_pos[best_node])
-    del best_into, best_node, limit
+    del best_node, limit, w
 
     # Each row's group is kept or not: a running sum of the change in
     # kept from one group to the next, taken at the group starts.
@@ -394,25 +391,32 @@ def _run_iteration(
     change = np.zeros(rows, np.int8)
     change[first] = np.diff(kept.view(np.int8), prepend=np.int8(0))
     superseded = np.cumsum(change, dtype=np.int8).view(bool)
-    superseded &= ~first
-    joined = join_pos[node[superseded]] < no_join
-    code = np.where(joined, ledger.code(epoch, iteration, prefix + RULE_JOIN),
+    superseded &= ~first_row
+    del change, first_row, first, best_pos, kept
+    at = np.flatnonzero(superseded)
+    del superseded
+    node, pos = node[at], pos[at]
+    code = np.where(join_pos[node] < no_join, ledger.code(epoch, iteration, prefix + RULE_JOIN),
                     ledger.code(epoch, iteration, prefix + RULE_SETTLE))
-    ledger.discard(live[pos[superseded]], code)
-    del node, pos, first, change, superseded, best_pos, kept
+    # An edge superseded at both ends is listed twice.  Its row at the
+    # smaller end node goes first, and the ledger skips it the second time.
+    smaller = node == np.minimum(a[pos], b[pos])
+    for part in (smaller, ~smaller):
+        ledger.discard(live[pos[part]], code[part])
+    del node, pos, at, code, smaller
 
-    join_edge = live[join_pos[joiner]]
-    hosts = super_of[g.u[join_edge]] + super_of[g.v[join_edge]] - joiner  # other end
-    d_next = grow_clusters(d, sampled, joiner, hosts, join_edge)
+    join_at = join_pos[joiner]
+    hosts = a[join_at] + b[join_at] - joiner  # the join edge's other end
+    d_next = grow_clusters(d, sampled, joiner, hosts, live[join_at])
 
     cluster_of = d_next.cluster_of
-    rest = live[ledger.state[live] == SpannerBuild.LIVE]
-    ca, cb = cluster_of[super_of[g.u[rest]]], cluster_of[super_of[g.v[rest]]]
+    rest = np.flatnonzero(ledger.state[live] == SpannerBuild.LIVE)
+    ca, cb = cluster_of[a[rest]], cluster_of[b[rest]]
     if np.any((ca < 0) | (cb < 0)):
         raise RuntimeError("a live edge has an endpoint that left the clustering")
     inside = ca == cb
-    ledger.discard(rest[inside], ledger.code(epoch, iteration, prefix + RULE_INTRA))
-    survivors = rest[~inside]
+    ledger.discard(live[rest[inside]], ledger.code(epoch, iteration, prefix + RULE_INTRA))
+    survivors = live[rest[~inside]]
 
     added, discarded = ledger.decided(live)
     trace = IterationTrace(
@@ -474,7 +478,7 @@ def _completion_sweep(
     the cluster at the other end) orders each group by (weight, live
     position), and the first of each group is kept.
     """
-    _check_weight_order(g, live)
+    _check_weight_order(g.w[live])
     a, b = node_of[g.u[live]], node_of[g.v[live]]
     group = np.minimum(a, b).astype(np.int64)
     if np.any(group < 0):
@@ -561,7 +565,7 @@ def general_spanner(
     quotient = identity_quotient(g)
     composed = singleton_clustering(g)
     # Weight order, ties by edge id; every later step keeps this order.
-    live = np.argsort(g.w, kind="stable")
+    live = weight_order(g.w)
     epochs: list[EpochTrace] = []
     certs: list[RadiusCertificate] | None = [] if radius_checks else None
 

@@ -170,6 +170,34 @@ def test_contract_rejects_internal_edge():
         contract(identity_quotient(g), one, [0], g)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_contract_breaks_weight_ties_by_edge_id(seed):
+    # Few distinct weights, so most pairs hold tied edges, and the surviving
+    # edges come shuffled, so contract must sort them itself.
+    # Six clusters of four vertices, each a path hung from its first vertex.
+    rng = random.Random(seed)
+    cluster_of = [v - v % 4 for v in range(24)]
+    g = build_graph(24, [
+        (u, v, rng.choice([1.0, 2.0, 2.0, 3.0]))
+        for u in range(24) for v in range(u + 1, 24)
+        if (v == u + 1 and v % 4) or (cluster_of[u] != cluster_of[v] and rng.random() < 0.6)
+    ])
+    tree_edge = {v: eid for eid, (u, v, _) in enumerate(g.edges) if v == u + 1 and v % 4}
+    paths = clustering(cluster_of, [(v - 1, tree_edge[v]) if v % 4 else None for v in range(24)],
+                       [v % 4 for v in range(24)])
+    surviving = [eid for eid, (u, v, _) in enumerate(g.edges) if cluster_of[u] != cluster_of[v]]
+    rng.shuffle(surviving)
+    q, dropped = contract(identity_quotient(g), paths, surviving, g)
+    assert q.super_count == 6
+    by_pair: dict[tuple[int, int], list[int]] = {}
+    for eid in surviving:
+        u, v, _ = g.edges[eid]
+        by_pair.setdefault((cluster_of[u], cluster_of[v]), []).append(eid)
+    kept = {min(eids, key=lambda e: (g.edges[e][2], e)) for eids in by_pair.values()}
+    assert any(len({g.edges[e][2] for e in eids}) < len(eids) for eids in by_pair.values())
+    assert dropped.tolist() == sorted(set(surviving) - kept)
+
+
 def test_contract_minimality_bruteforce():
     # Exactly one surviving edge is kept per super-node pair, and it is the
     # minimum (w, edge id) among the surviving edges of that pair.

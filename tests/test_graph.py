@@ -205,6 +205,14 @@ def test_vertex_cap_holds_for_files_with_edges(monkeypatch):
         load_edge_list(io.StringIO("0 1 1.0\n"), n=0)
 
 
+def test_a_callers_vertex_count_out_of_range_names_no_line():
+    # With no header line the count is the caller's n, which no line holds.
+    with pytest.raises(EdgeListError) as exc:
+        load_edge_list(io.StringIO("0 1 1.0\n"), n=0)
+    assert exc.value.line is None
+    assert str(exc.value) == f"header vertex count 0 outside [1, {spanforge.graph.MAX_VERTICES}]"
+
+
 def test_header_error_names_the_header_line():
     with pytest.raises(EdgeListError, match="line 3: header vertex count 0") as exc:
         load_edge_list(io.StringIO("# comment\n\n# 0 0\n"))
@@ -338,6 +346,31 @@ def test_sort_pairs_orders_by_major_then_minor(offset):
     expected = sorted(zip(major.tolist(), minor.tolist()))
     spanforge.graph.sort_pairs(major, minor, 7)
     assert list(zip(major.tolist(), minor.tolist())) == expected
+
+
+@st.composite
+def weight_columns(draw):
+    """Weights with heavy ties, 0.0 and -0.0 among them, in random, sorted
+    or reversed order, with distinct ids."""
+    pool = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5]) | st.floats(0, 10), min_size=1, max_size=4))
+    w = np.array(draw(st.lists(st.sampled_from(pool), max_size=40)), np.float64)
+    shape = draw(st.sampled_from(["as drawn", "sorted", "reversed"]))
+    if shape != "as drawn":
+        w = np.sort(w)[:: 1 if shape == "sorted" else -1].copy()
+    ids = draw(st.lists(st.integers(-(2**40), 2**40), min_size=len(w), max_size=len(w), unique=True))
+    return w, np.array(ids, np.int64)
+
+
+@settings(max_examples=300)
+@given(weight_columns())
+@example((np.zeros(0), np.zeros(0, np.int64)))
+@example((np.array([-0.0]), np.array([7])))
+@example((np.array([0.0, -0.0, 0.0, -0.0]), np.array([3, 2, 1, 0])))
+@example((np.array([2.0, 1.0, 1.0, 1.0]), np.array([0, 3, 1, 2])))
+def test_weight_order_is_the_stable_argsort(columns):
+    w, ids = columns
+    assert spanforge.graph.weight_order(w).tolist() == np.argsort(w, kind="stable").tolist()
+    assert spanforge.graph.weight_order(w, ids).tolist() == np.lexsort((ids, w)).tolist()
 
 
 def test_generators_check_the_vertex_count_before_building():

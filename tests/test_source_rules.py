@@ -92,3 +92,31 @@ def test_the_cli_and_gen_gnp_leave_numpy_random_unloaded():
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False"]
+
+
+def test_the_build_path_has_no_stable_sort():
+    # numpy's stable sort of floats is a timsort, several times slower than
+    # its default sort.  weight_order alone gives a stable order, and only
+    # where the default sort leaves ties.
+    found = []
+    for path in SOURCES:
+        if path.name not in {"graph.py", "spanner.py", "clustering.py"}:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = {
+            id(node)
+            for top in ast.walk(tree)
+            if isinstance(top, ast.FunctionDef) and top.name == "weight_order"
+            for node in ast.walk(top)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in exempt:
+                continue
+            for kw in node.keywords:
+                value = getattr(kw.value, "value", None)
+                if (kw.arg == "kind" and value in ("stable", "mergesort")) or (
+                    kw.arg == "return_index" and value is not False
+                ):
+                    found.append(f"{path.name}:{node.lineno} {kw.arg}={value!r}")
+    assert SOURCES
+    assert found == []
