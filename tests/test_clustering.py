@@ -174,9 +174,8 @@ def test_contract_rejects_internal_edge():
 def test_contract_breaks_weight_ties_by_edge_id(seed):
     # Few distinct weights, so most pairs hold tied edges, and the surviving
     # edges come shuffled, so contract must sort them itself.
-    # Six clusters of four vertices, each a path hung from its first vertex.
     rng = random.Random(seed)
-    cluster_of = [v - v % 4 for v in range(24)]
+    cluster_of = [v - v % 4 for v in range(24)]  # six paths of four vertices
     g = build_graph(24, [
         (u, v, rng.choice([1.0, 2.0, 2.0, 3.0]))
         for u in range(24) for v in range(u + 1, 24)
