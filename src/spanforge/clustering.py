@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import DomainError, WeightedGraph, sort_pairs, weight_order
+from .graph import DomainError, WeightedGraph, _draws, sort_pairs, weight_order
 
 
 @dataclass
@@ -139,12 +139,14 @@ def sample_clusters(clustering: Clustering, p: float, rng: random.Random) -> np.
 
     Clusters are visited in ascending cluster id and one uniform draw is
     consumed per cluster, so results are reproducible for a fixed rng
-    stream position.
+    stream position.  The draws are made at once by _draws: the floats
+    of one rng.random() call per cluster, leaving rng where those calls
+    would.
     """
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"sampling probability {p} outside [0, 1]")
     cids = clustering.clusters()
-    return cids[np.array([rng.random() for _ in range(len(cids))]) < p]
+    return cids[_draws(rng, len(cids)) < p]
 
 
 def grow_clusters(

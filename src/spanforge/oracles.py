@@ -3,11 +3,11 @@
 Everything here is deliberately independent of the construction code:
 distances come from label-setting Dijkstra, run on a block of sources
 at once for the audit and for all-pairs matrices and one heap at a time
-for dijkstra(), and from one BFS from all sources at once for all-pairs
-matrices whose edges all weigh exactly 1.0 (all cross-checked by
-Bellman-Ford); stretch is audited edge by edge on the spanner subgraph,
-and size claims are measured over repeated seeded runs rather than
-trusted.
+for dijkstra(), and from one BFS from all sources at once, its levels
+kept as bit planes, for all-pairs matrices whose edges all weigh exactly
+1.0 (all cross-checked by Bellman-Ford); stretch is audited edge by
+edge on the spanner subgraph, and size claims are measured over
+repeated seeded runs rather than trusted.
 """
 
 from __future__ import annotations
@@ -61,10 +61,9 @@ def _dijkstra_on(adj: list[list[tuple[int, float]]], source: int) -> list[float]
     return dist
 
 
-# Bounds on the all-sources BFS's temporaries, in 64-bit words: the
-# frontier gathered over every arc, and the new bits unpacked per step.
+# Bound on the all-sources BFS's gather of the frontier over every arc,
+# in 64-bit words.
 _GATHER_WORDS = 2**20
-_EXTRACT_WORDS = 4096
 _WORD = np.dtype("<u8")  # little-endian, so the uint8 view is host-independent
 
 
@@ -74,21 +73,23 @@ def _bfs_all_sources(g: WeightedGraph, eids: Sequence[int]) -> np.ndarray:
 
     Bit s % 64 of word s // 64 stands for source s, as in Then et al.,
     "The More the Merrier: Efficient Multi-Source Graph Traversal" (VLDB
-    2014).  Per level, each vertex ORs its neighbours' frontier words,
-    keeps the bits it has not seen, and takes the level as its distance
-    from those sources; a word drops out once its sources reach nothing
-    new.  The work grows with levels * n**2 / 64, so long paths are the
-    slow case.  Levels are heap Dijkstra's floats, since every sum of
-    1.0s below 2**53 is exact, and distances are symmetric, so row y is
-    written with y's distance from every source.
+    2014).  Per level, each vertex ORs its neighbours' frontier words and
+    keeps the bits it has not seen; a word drops out once its sources
+    reach nothing new.  Level L ORs those new bits into bit plane b for
+    each set bit b of L, so a level costs a few word operations and the
+    planes hold every distance in binary.  Each block of words is then
+    unpacked once, plane by plane, into one integer level per (vertex,
+    source), and written to the sources' columns.
+    Levels are heap Dijkstra's floats, since every sum of 1.0s below
+    2**53 is exact; a vertex a source never reached gets inf.
     """
     n = g.n
-    out = np.full((n, n), INF)
-    np.fill_diagonal(out, 0.0)
     ids = np.asarray(eids, dtype=np.intp)
     heads = np.concatenate((g.v[ids], g.u[ids]))
     tails = np.concatenate((g.u[ids], g.v[ids]))
     if not len(heads):
+        out = np.full((n, n), INF)
+        np.fill_diagonal(out, 0.0)
         return out
     order = np.argsort(heads, kind="stable")
     heads, tails = heads[order], tails[order]
@@ -99,38 +100,90 @@ def _bfs_all_sources(g: WeightedGraph, eids: Sequence[int]) -> np.ndarray:
     starts = np.flatnonzero(np.diff(heads, prepend=-1))
     dest = heads[starts]
     tail_pos = np.searchsorted(dest, tails)
+    out = np.empty((n, n))
     words = -(-n // 64)
     block = max(1, _GATHER_WORDS // len(tails))
     for first in range(0, words, block):
-        word_ids = np.arange(first, min(words, first + block))
-        own = np.arange(*np.searchsorted(dest, [64 * first, 64 * (first + block)]))
-        visited = np.zeros((len(word_ids), len(dest)), _WORD)
+        count = min(words, first + block) - first
+        own = np.arange(*np.searchsorted(dest, [64 * first, 64 * (first + count)]))
+        visited = np.zeros((count, len(dest)), _WORD)
         visited[dest[own] // 64 - first, own] = np.uint64(1) << (dest[own] % 64).astype(_WORD)
         frontier = visited.copy()
-        level = 0.0
-        while len(word_ids):
-            level += 1.0
+        # Rows of the block's words that are still going, their planes,
+        # and the planes and visited bits of each word once it stops.
+        rows = np.arange(count)
+        planes: list[np.ndarray] = []
+        done_planes: list[np.ndarray] = []
+        done_visited = np.empty_like(visited)
+        level = 0
+        while len(rows):
+            level += 1
             new = np.bitwise_or.reduceat(frontier[:, tail_pos], starts, axis=1)
             new &= ~visited
             visited |= new
-            _write_level(out, new, dest, word_ids, level)
+            if level == 1 << len(planes):
+                planes.append(new.copy())
+                done_planes.append(np.zeros_like(done_visited))
+            else:
+                for b in range(len(planes)):
+                    if level >> b & 1:
+                        planes[b] |= new
             going = new.any(axis=1)
-            word_ids, visited, frontier = word_ids[going], visited[going], new[going]
+            if not going.all():
+                stop = ~going
+                done_visited[rows[stop]] = visited[stop]
+                for plane, done in zip(planes, done_planes):
+                    done[rows[stop]] = plane[stop]
+                rows, visited, new = rows[going], visited[going], new[going]
+                planes = [plane[going] for plane in planes]
+            frontier = new
+        lo, hi = 64 * first, min(n, 64 * (first + count))
+        _write_block(out[:, lo:hi], done_planes, done_visited, dest, lo)
     return out
 
 
-def _write_level(out: np.ndarray, new: np.ndarray, dest: np.ndarray, word_ids: np.ndarray, level: float) -> None:
-    """Set out[dest[j], s] = level for each bit s of column j of new,
-    unpacking at most _EXTRACT_WORDS nonzero words at a time."""
-    # Flat indices and flatnonzero: numpy's 2-d nonzero is several times slower.
-    nonzero = np.flatnonzero(new)
-    for lo in range(0, len(nonzero), _EXTRACT_WORDS):
-        at = nonzero[lo : lo + _EXTRACT_WORDS]
-        packed = np.ascontiguousarray(np.take(new, at), _WORD).view(np.uint8)
-        hits = np.flatnonzero(np.unpackbits(packed, bitorder="little").view(bool))
-        word, col = np.divmod(at, new.shape[1])
-        which = hits >> 6
-        out[dest[col][which], (64 * word_ids[word])[which] + (hits & 63)] = level
+def _unpack_sources(words: np.ndarray, sources: int) -> np.ndarray:
+    """The bits of (word, vertex) uint64s as (vertex, source) 0/1 uint8s,
+    source 64 * word + bit, for the first `sources` sources.  Unpacking
+    along the contiguous last axis is several times faster than along a
+    strided one."""
+    as_bytes = np.ascontiguousarray(words.T, _WORD).view(np.uint8)
+    return np.unpackbits(as_bytes, axis=1, count=sources, bitorder="little")
+
+
+def _write_block(cols: np.ndarray, planes: list[np.ndarray], visited: np.ndarray, dest: np.ndarray, lo: int) -> None:
+    """Fill cols, out's columns of sources lo, lo + 1, ..., from one
+    block's bit planes and visited bits over the vertices dest; distances
+    are symmetric, so column s holds s's distance to every vertex."""
+    n, sources = cols.shape
+    np.copyto(cols, _spread(_levels(planes, sources), dest, n, 0))
+    unreached = _unpack_sources(~visited, sources).view(bool)
+    np.copyto(cols, INF, where=_spread(unreached, dest, n, True))
+    if len(dest) < n:
+        cols[np.arange(lo, lo + sources), np.arange(sources)] = 0.0
+
+
+def _levels(planes: list[np.ndarray], sources: int) -> np.ndarray:
+    """(vertex, source) integers whose bit b is bit plane b's bit."""
+    # One byte per 8 planes, little-endian so that byte b // 8 holds bit b.
+    size = next(s for s in (1, 2, 4, 8) if 8 * s >= len(planes))
+    level = np.zeros((planes[0].shape[1], sources), f"<u{size}")
+    level_bytes = level.view(np.uint8).reshape(*level.shape, size)
+    for b, plane in enumerate(planes):
+        bits = _unpack_sources(plane, sources)
+        bits *= 1 << (b & 7)  # numpy multiplies uint8s faster than it shifts them
+        level_bytes[..., b >> 3] |= bits
+    return level
+
+
+def _spread(rows: np.ndarray, dest: np.ndarray, n: int, fill: int) -> np.ndarray:
+    """rows, one per vertex of dest, as n rows with fill for vertices that
+    have no edge: in rows' narrow type, not as an n-wide float temporary."""
+    if len(dest) == n:
+        return rows
+    wide = np.full((n, rows.shape[1]), fill, rows.dtype)
+    wide[dest] = rows
+    return wide
 
 
 def _all_unit(g: WeightedGraph, eids: Sequence[int]) -> bool:

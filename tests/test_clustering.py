@@ -54,6 +54,22 @@ def test_sample_clusters_deterministic_stream():
     assert a.tolist() == b.tolist()
 
 
+@pytest.mark.parametrize("clusters", [0, 1, 7, 500])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_sample_clusters_draws_one_random_call_per_cluster(clusters, p):
+    # The ids one rng.random() call per cluster picks, and the stream left
+    # where those calls leave it; zero clusters draw nothing.
+    if clusters:
+        c = singleton_clustering(build_graph(clusters, []))
+    else:  # three inactive nodes
+        c = clustering([None] * 3, [None] * 3, [None] * 3)
+    seed = 100 * clusters + int(10 * p)
+    rng, twin = random.Random(seed), random.Random(seed)
+    expected = [cid for cid in c.clusters().tolist() if twin.random() < p]
+    assert sample_clusters(c, p, rng).tolist() == expected
+    assert rng.random() == twin.random()
+
+
 def test_sample_clusters_binomial_concentration():
     # 10000 singleton clusters at p=0.3: the count should land within
     # 3 * sqrt(p(1-p)/N) of p as a fraction.

@@ -9,6 +9,7 @@ cross-checks here.
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,12 @@ from spanforge import oracles
 from spanforge.graph import neighbour_lists
 from spanforge.oracles import _batched_dijkstra, _dijkstra_on
 
+def unit_cycle(vertices):
+    """Unit-weight edges of one cycle through vertices, in order."""
+    vertices = list(vertices)
+    return [(a, b, 1.0) for a, b in zip(vertices, vertices[1:] + vertices[:1])]
+
+
 # apsp_matrix packs 64 sources to a word: n = 63, 64, 65 and 129 straddle
 # word boundaries, and vertices with no edge get no reduceat segment.
 UNIT_GRAPHS = {
@@ -53,6 +60,19 @@ UNIT_GRAPHS = {
     ),
     "star": lambda: gen_star(100),
     "complete": lambda: gen_complete(70),
+    # Levels are kept as bit planes: more than 255 levels take a ninth
+    # plane and 16-bit levels.
+    "path300": lambda: gen_path(300),
+    # Words that stop at different levels in one block: a star on 0..63
+    # (3 levels), a path on 64..127 (64) and a cycle on 128..200 (37).
+    "staggered": lambda: build_graph(
+        201,
+        [(0, i, 1.0) for i in range(1, 64)]
+        + [(i, i + 1, 1.0) for i in range(64, 127)]
+        + unit_cycle(range(128, 201)),
+    ),
+    # Vertices with no edge in every word: a cycle through the others.
+    "isolated-words": lambda: build_graph(140, unit_cycle([x for x in range(140) if x % 17])),
 }
 
 SUBGRAPHS = {
@@ -99,14 +119,30 @@ def test_bfs_rows_equal_heap_dijkstra(name, subgraph):
     assert audit_stretch(g, spanner, 100.0).ratios == heap_audit(g, spanner)
 
 
-@pytest.mark.parametrize("name", ["gnp129", "two-components", "complete"])
+@pytest.mark.parametrize("name", ["gnp129", "two-components", "complete", "isolated-words", "path300"])
 def test_all_sources_bfs_in_small_blocks_and_steps(name, monkeypatch):
-    # One word per block and per unpacking step, so that the loops over
-    # blocks and steps run many times on a small graph.
+    # One word per block, so that the loop over blocks runs many times on
+    # a small graph and each block is written as soon as its word stops.
     monkeypatch.setattr(oracles, "_GATHER_WORDS", 1)
-    monkeypatch.setattr(oracles, "_EXTRACT_WORDS", 1)
     g = UNIT_GRAPHS[name]()
     assert apsp_matrix(g).tobytes() == heap_rows(g, None).tobytes()
+
+
+def test_all_sources_bfs_allocates_less_than_twice_its_output():
+    # A vertex with no edge makes the BFS spread its levels to n columns.
+    # Spread through an n-wide float temporary, the peak was 2.5 times
+    # the output; one scatter per level into the output peaked at 1.74.
+    g = gen_gnp(1000, 0.01, "unit", 1)
+    keep = np.flatnonzero((g.u != 500) & (g.v != 500))
+    g = build_graph(g.n, zip(g.u[keep].tolist(), g.v[keep].tolist(), g.w[keep].tolist()))
+    tracemalloc.start()
+    try:
+        out = apsp_matrix(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isinf(out[500]).sum() == g.n - 1
+    assert peak < 2 * out.nbytes
 
 
 def test_bfs_rows_equal_bellman_ford_on_random_unit_graphs():
