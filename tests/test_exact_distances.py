@@ -36,6 +36,7 @@ from spanforge import oracles
 from spanforge.graph import neighbour_lists
 from spanforge.oracles import _batched_dijkstra, _dijkstra_on
 
+
 def unit_cycle(vertices):
     """Unit-weight edges of one cycle through vertices, in order."""
     vertices = list(vertices)
@@ -129,7 +130,7 @@ def test_all_sources_bfs_in_small_blocks_and_steps(name, monkeypatch):
 
 
 def test_all_sources_bfs_allocates_less_than_twice_its_output():
-    # A vertex with no edge makes the BFS spread its levels to n columns.
+    # A vertex with no edge makes the BFS spread its levels to n rows.
     # Spread through an n-wide float temporary, the peak was 2.5 times
     # the output; one scatter per level into the output peaked at 1.74.
     g = gen_gnp(1000, 0.01, "unit", 1)
