@@ -45,6 +45,7 @@ from .oracles import (
     RepetitionResult,
     SizeStats,
     StretchAudit,
+    apsp_matrix,
     audit_stretch,
     bellman_ford,
     bruteforce_equivalence_suite,
@@ -55,7 +56,6 @@ from .oracles import (
 from .apsp import (
     ApspReport,
     apsp_experiment,
-    apsp_matrix,
     coordinator_budget,
 )
 

@@ -13,12 +13,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .graph import DomainError, WeightedGraph, edge_id_list
-from .oracles import _all_unit, _batched_dijkstra, _bfs_all_sources
+from .graph import DomainError, WeightedGraph
+from .oracles import apsp_matrix
 from .spanner import general_spanner, stretch_bound
 
 EXACT_APSP_GUARD = 2000
@@ -26,24 +25,6 @@ EXACT_APSP_GUARD = 2000
 
 class ApspBoundError(RuntimeError):
     """The realized APSP ratio exceeded the schedule's stretch bound."""
-
-
-def apsp_matrix(g: WeightedGraph, edge_ids: Iterable[int] | None = None) -> np.ndarray:
-    """All-pairs distance matrix of the subgraph on edge_ids (all edges
-    when None); +inf when unreachable.
-
-    When every edge weighs exactly 1.0, one BFS runs from all sources at
-    once, 64 sources to a machine word; otherwise batched label-setting
-    Dijkstra runs a bounded block of sources at once.  Both give the same
-    floats as heap Dijkstra would.
-    """
-    eids = edge_id_list(g, edge_ids)
-    if _all_unit(g, eids):
-        return _bfs_all_sources(g, eids)
-    out = np.empty((g.n, g.n), dtype=np.float64)
-    for done, rows in _batched_dijkstra(g, eids, range(g.n)):
-        out[done] = rows
-    return out
 
 
 def coordinator_budget(n: int, factor: float = 8.0) -> float:
@@ -105,25 +86,22 @@ def pair_ratios(exact: np.ndarray, approx: np.ndarray) -> tuple[float, float, in
     """
     n = exact.shape[0]
     step = max(1, _RATIO_CELLS // max(n, 1))
-    blocks = [(lo, min(n, lo + step)) for lo in range(0, n, step)]
-
-    def upper(m: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        return m[lo:hi][np.arange(n) > np.arange(lo, hi)[:, None]]
-
-    pairs = sum(int(np.isfinite(upper(exact, lo, hi)).sum()) for lo, hi in blocks)
-    if pairs == 0:
-        return 1.0, 1.0, 0
-    ratios = np.empty(pairs)
-    filled = 0
-    for lo, hi in blocks:
-        e = upper(exact, lo, hi)
-        connected = np.isfinite(e)
-        e, a = e[connected], upper(approx, lo, hi)[connected]
+    # Sized for every pair; the pages past the connected pairs are never
+    # written, so a disconnected graph does not pay for them in memory.
+    ratios = np.empty(n * (n - 1) // 2)
+    pairs = 0
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        connected = (np.arange(n) > np.arange(lo, hi)[:, None]) & np.isfinite(exact[lo:hi])
+        e, a = exact[lo:hi][connected], approx[lo:hi][connected]
         zero = e == 0
-        out = ratios[filled : filled + len(e)]
+        out = ratios[pairs : pairs + len(e)]
         np.divide(a, e, out=out, where=~zero)
         out[zero] = np.where(a[zero] == 0, 1.0, math.inf)
-        filled += len(e)
+        pairs += len(e)
+    if pairs == 0:
+        return 1.0, 1.0, 0
+    ratios = ratios[:pairs]
     return float(ratios.max()), float(ratios.mean()), pairs
 
 

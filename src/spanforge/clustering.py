@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -100,13 +100,19 @@ def identity_quotient(g: WeightedGraph) -> QuotientGraph:
 
 @dataclass
 class RadiusCertificate:
-    """Outcome of a radius check, with the first violation witnessed."""
+    """Outcome of check_radius: whether the clustering passed against
+    radius_bound, the depth of its deepest tree, and the first violation
+    as a dict of Python ints and floats, or None when it passed.
+
+    A property A violation names the cluster, its depth and the bound; a
+    property B violation names the boundary edge, the clustered endpoint,
+    the heaviest edge weight on that endpoint's root path and the
+    boundary edge's weight.
+    """
 
     passed: bool
     radius_bound: int
     max_depth: int
-    cluster_depths: dict[int, int]
-    edge_max_path_weight: dict[int, float]
     violation: dict | None = None
 
 
@@ -320,86 +326,79 @@ def compose(
 def check_radius(
     g: WeightedGraph,
     clustering: Clustering,
-    boundary_edges: Iterable[int],
+    boundary_edges: Sequence[int] | np.ndarray,
     r: int,
 ) -> RadiusCertificate:
     """Measure a clustering against radius bound r and a boundary edge set.
 
     Passes iff every cluster's measured depth is at most r and, for every
     boundary edge (x, y) with a clustered endpoint, all edges on that
-    endpoint's root path weigh at most the boundary edge.  Depths are
-    re-measured by walking parent pointers, independent of depth.  Raises
-    ValueError on a parent cycle.
+    endpoint's root path weigh at most the boundary edge.  The first
+    violation is property A's for the smallest cluster deeper than r,
+    else property B's for the smallest boundary id, its u end first.
+
+    Each node's depth and heaviest root-path edge are re-measured from
+    the parent pointers alone, never from the stored depth, by pointer
+    doubling: top is an ancestor depth steps up, maxw the heaviest edge
+    on the way, and each round doubles the distance until every top is
+    a root.  Raises
+    DomainError for a boundary id outside [0, m), and ValueError for an
+    active node whose cluster id is not a cluster or whose walk never
+    reaches a root (a parent cycle), naming the smallest such node.
     """
-    cluster_of, parent, parent_edge = (
-        a.tolist() for a in (clustering.cluster_of, clustering.parent, clustering.parent_edge)
-    )
-    us, vs, ws = g.u.tolist(), g.v.tolist(), g.w.tolist()
+    eids = np.asarray(boundary_edges, np.int64)
+    bad = (eids < 0) | (eids >= g.m)
+    if bad.any():
+        raise DomainError(f"edge id {eids[bad.argmax()]} not in graph")
+    cluster_of, parent = clustering.cluster_of, clustering.parent
     n = len(cluster_of)
-    depth: list[int | None] = [None] * n
-    maxw: list[float | None] = [None] * n
+    linked = parent >= 0
+    top = np.where(linked, parent, np.arange(n, dtype=np.int32))
+    depth = linked.astype(np.int64)
+    maxw = np.zeros(n)
+    maxw[linked] = g.w[clustering.parent_edge[linked]]
+    for _ in range(n.bit_length() + 1):
+        if not linked[top].any():
+            break
+        depth += depth[top]
+        np.maximum(maxw, maxw[top], out=maxw)
+        top = top[top]
 
-    def resolve(v: int) -> None:
-        chain = []
-        node = v
-        while depth[node] is None:
-            if parent[node] < 0:
-                depth[node] = 0
-                maxw[node] = 0.0
-                break
-            if len(chain) == n:
-                raise ValueError(f"parent cycle through {v}")
-            chain.append(node)
-            node = parent[node]
-        for node in reversed(chain):
-            pnode = parent[node]
-            depth[node] = depth[pnode] + 1
-            maxw[node] = max(maxw[pnode], ws[parent_edge[node]])
+    active = np.flatnonzero(cluster_of >= 0)
+    cid = cluster_of[active]
+    registered = cid < n
+    registered[registered] = cluster_of[cid[registered]] == cid[registered]
+    cyclic = linked[top[active]]
+    bad = cyclic | ~registered
+    if bad.any():
+        first = bad.argmax()
+        if cyclic[first]:
+            raise ValueError(f"parent cycle through {active[first]}")
+        raise ValueError(f"node {active[first]} in unregistered cluster {cid[first]}")
 
-    cluster_depths: dict[int, int] = {cid: 0 for cid in clustering.clusters().tolist()}
-    for v in range(n):
-        cid = cluster_of[v]
-        if cid < 0:
-            continue
-        resolve(v)
-        if depth[v] > cluster_depths[cid]:
-            cluster_depths[cid] = depth[v]
-
-    max_depth = max(cluster_depths.values(), default=0)
+    cluster_depth = np.zeros(n, np.int64)
+    np.maximum.at(cluster_depth, cid, depth[active])
+    cids = clustering.clusters()
+    max_depth = int(cluster_depth.max(initial=0))
+    deep = cids[cluster_depth[cids] > r]
     violation = None
-    if max_depth > r:
-        worst = min(cid for cid, d in cluster_depths.items() if d > r)
-        violation = {
-            "property": "A",
-            "cluster": worst,
-            "depth": cluster_depths[worst],
-            "bound": r,
-        }
-
-    edge_max: dict[int, float] = {}
-    for eid in sorted(boundary_edges):
-        x, y, w = us[eid], vs[eid], ws[eid]
-        worst_path = 0.0
-        for end in (x, y):
-            if cluster_of[end] < 0:
-                continue
-            resolve(end)
-            worst_path = max(worst_path, maxw[end])
-            if maxw[end] > w and violation is None:
-                violation = {
-                    "property": "B",
-                    "edge": eid,
-                    "endpoint": end,
-                    "path_weight": maxw[end],
-                    "edge_weight": w,
-                }
-        edge_max[eid] = worst_path
-
+    if len(deep):
+        worst = int(deep[0])
+        violation = {"property": "A", "cluster": worst, "depth": int(cluster_depth[worst]), "bound": r}
+    else:
+        eids = np.sort(eids)
+        ends = np.stack((g.u[eids], g.v[eids]), axis=1).ravel()
+        w = np.repeat(g.w[eids], 2)
+        heavy = np.flatnonzero((cluster_of[ends] >= 0) & (maxw[ends] > w))
+        if len(heavy):
+            i = heavy[0]
+            violation = {
+                "property": "B",
+                "edge": int(eids[i // 2]),
+                "endpoint": int(ends[i]),
+                "path_weight": float(maxw[ends[i]]),
+                "edge_weight": float(w[i]),
+            }
     return RadiusCertificate(
-        passed=violation is None,
-        radius_bound=r,
-        max_depth=max_depth,
-        cluster_depths=cluster_depths,
-        edge_max_path_weight=edge_max,
-        violation=violation,
+        passed=violation is None, radius_bound=r, max_depth=max_depth, violation=violation
     )

@@ -186,13 +186,6 @@ def _spread(rows: np.ndarray, dest: np.ndarray, n: int, fill: int) -> np.ndarray
     return wide
 
 
-def _all_unit(g: WeightedGraph, eids: Sequence[int]) -> bool:
-    """Whether every edge in eids weighs exactly 1.0, the case in which
-    apsp_matrix runs the all-sources BFS.  Other equal weights keep
-    Dijkstra: its running sums (0.1 + 0.1 + ...) are not level * w."""
-    return bool(np.all(g.w[np.asarray(eids, dtype=np.intp)] == 1.0))
-
-
 # Bounds on the batched Dijkstra's temporaries: cells (sources x vertices)
 # of one block's distance matrix, and relaxations in one scatter.
 _BLOCK_CELLS = 2**15
@@ -289,6 +282,25 @@ def _relax(
         arc = np.arange(ends[a] - deg[a], ends[b - 1]) + np.repeat(shift[a:b], deg[a:b])
         at = np.repeat(cells[a:b] - x[a:b], deg[a:b]) + heads[arc]
         np.minimum.at(flat, at, np.repeat(flat[cells[a:b]], deg[a:b]) + arc_w[arc])
+
+
+def apsp_matrix(g: WeightedGraph, edge_ids: Iterable[int] | None = None) -> np.ndarray:
+    """All-pairs distance matrix of the subgraph on edge_ids (all edges
+    when None); +inf when unreachable.
+
+    When every edge weighs exactly 1.0, one BFS runs from all sources at
+    once, 64 sources to a machine word; otherwise batched label-setting
+    Dijkstra runs a bounded block of sources at once.  Both give the same
+    floats as heap Dijkstra would.  Other equal weights keep Dijkstra:
+    its running sums (0.1 + 0.1 + ...) are not level * w.
+    """
+    eids = edge_id_list(g, edge_ids)
+    if np.all(g.w[np.asarray(eids, dtype=np.intp)] == 1.0):
+        return _bfs_all_sources(g, eids)
+    out = np.empty((g.n, g.n), dtype=np.float64)
+    for done, rows in _batched_dijkstra(g, eids, range(g.n)):
+        out[done] = rows
+    return out
 
 
 def dijkstra(g: WeightedGraph, source: int, edge_ids: Iterable[int] | None = None) -> list[float]:

@@ -583,7 +583,7 @@ def general_spanner(
         composed = compose(d, composed, quotient, g)
         if certs is not None:
             bound = ((2 * t + 1) ** i - 1) // 2
-            certs.append(check_radius(g, composed, live.tolist(), bound))
+            certs.append(check_radius(g, composed, live, bound))
 
         dedup = 0
         if i < last_epoch:

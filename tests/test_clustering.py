@@ -6,12 +6,16 @@ import pytest
 from cluster_lists import clustering, parent_pairs
 
 from spanforge import (
+    DomainError,
+    WeightedGraph,
     build_graph,
     check_radius,
     compose,
     contract,
     gen_gnp,
+    gen_grid,
     gen_path,
+    general_spanner,
     gen_star,
     grow_clusters,
     identity_quotient,
@@ -322,9 +326,22 @@ def test_check_radius_property_b_violation():
     cert = check_radius(g, chain, [2], 2)
     assert not cert.passed
     assert cert.violation["property"] == "B"
-    assert cert.violation["path_weight"] == 5.0
-    assert cert.violation["edge_weight"] == 4.0
-    assert cert.edge_max_path_weight[2] == 5.0
+    assert cert.violation == {
+        "property": "B", "edge": 2, "endpoint": 2, "path_weight": 5.0, "edge_weight": 4.0
+    }
+    assert {type(x) for x in cert.violation.values()} == {str, int, float}
+
+
+def test_check_radius_reports_the_u_end_and_its_heaviest_ancestor_edge():
+    # Boundary edge 2 = (2, 3) weighs 4.  Vertex 2's parent edge weighs 3
+    # but its grandparent edge 5; vertex 3's parent edge weighs 6.  Both
+    # ends break (B), and the u end is reported with its whole path.
+    g = build_graph(5, [(0, 1, 5.0), (1, 2, 3.0), (2, 3, 4.0), (3, 4, 6.0)])
+    trees = clustering([0, 0, 0, 4, 4], [None, (0, 0), (1, 1), (4, 3), None], [0, 1, 2, 1, 0])
+    cert = check_radius(g, trees, [2], 2)
+    assert cert.violation == {
+        "property": "B", "edge": 2, "endpoint": 2, "path_weight": 5.0, "edge_weight": 4.0
+    }
 
 
 def test_check_radius_passes_with_light_tree():
@@ -360,6 +377,105 @@ def test_check_radius_rejects_a_parent_cycle():
     cycle = clustering([0, 0], [(1, 0), (0, 0)], [0, 1])
     with pytest.raises(ValueError, match="parent cycle"):
         check_radius(gen_path(2), cycle, [], 3)
+
+
+def test_check_radius_names_the_first_active_node_whose_walk_never_ends():
+    # 2 and 3 are each other's parent; active 1 hangs below 2 and inactive
+    # 0 below 1, so 1 is the smallest node whose certificate needs a walk
+    # that never reaches a root.  Node 4 is a root.
+    rho = clustering(
+        [None, 4, 4, 4, 4], [(1, 0), (2, 1), (3, 2), (2, 2), None], [None, 3, 2, 1, 0]
+    )
+    with pytest.raises(ValueError, match=r"^parent cycle through 1$"):
+        check_radius(gen_path(5), rho, [], 3)
+
+
+@pytest.mark.parametrize("cluster_of, node, cid", [([0, 0, 1], 2, 1), ([0, 0, 7], 2, 7)])
+def test_check_radius_rejects_a_node_outside_every_cluster(cluster_of, node, cid):
+    chain = clustering(cluster_of, [None, (0, 0), (1, 1)], [0, 1, 2])
+    with pytest.raises(ValueError, match=rf"^node {node} in unregistered cluster {cid}$"):
+        check_radius(gen_path(3), chain, [], 3)
+
+
+@pytest.mark.parametrize("eid", [-1, 2, 2**40])
+def test_check_radius_rejects_boundary_ids_outside_the_graph(eid):
+    # -1 would read the last edge and m would overrun the columns.
+    chain = clustering([0, 0, 0], [None, (0, 0), (1, 1)], [0, 1, 2])
+    with pytest.raises(DomainError, match=rf"^edge id {eid} not in graph$"):
+        check_radius(gen_path(3), chain, [0, eid], 3)
+
+
+def root_walks(g, c):
+    """Each active node's depth and heaviest root-path edge weight, by
+    walking its parent pointers."""
+    depth, heaviest = {}, {}
+    for x in np.flatnonzero(c.cluster_of >= 0).tolist():
+        node, steps, top = x, 0, 0.0
+        while c.parent[node] >= 0:
+            top = max(top, float(g.w[c.parent_edge[node]]))
+            node, steps = int(c.parent[node]), steps + 1
+        depth[x], heaviest[x] = steps, top
+    return depth, heaviest
+
+
+def reference_certificate(g, c, walks, boundary, r):
+    """(passed, bound, max depth, violation) from root_walks, as the
+    certificate is defined."""
+    depth, heaviest = walks
+    cluster_depth = {cid: 0 for cid in c.clusters().tolist()}
+    for x, d in depth.items():
+        cid = int(c.cluster_of[x])
+        cluster_depth[cid] = max(cluster_depth[cid], d)
+    max_depth = max(cluster_depth.values(), default=0)
+    deep = [cid for cid, d in sorted(cluster_depth.items()) if d > r]
+    if deep:
+        violation = {"property": "A", "cluster": deep[0], "depth": cluster_depth[deep[0]], "bound": r}
+        return False, r, max_depth, violation
+    for eid in sorted(boundary):
+        w = float(g.w[eid])
+        for end in (int(g.u[eid]), int(g.v[eid])):
+            if end in heaviest and heaviest[end] > w:
+                violation = {
+                    "property": "B", "edge": eid, "endpoint": end, "path_weight": heaviest[end], "edge_weight": w
+                }
+                return False, r, max_depth, violation
+    return True, r, max_depth, None
+
+
+def test_check_radius_equals_a_root_walk_at_every_bound(monkeypatch):
+    # The engine's own certificates supply composed clusterings and their
+    # live boundary edges; weight-permuted copies of each graph keep the
+    # trees but break property (B).  Each boundary edge alone, at the
+    # largest bound, checks the heaviest root-path edge at both its ends.
+    import spanforge.spanner
+
+    cases = []
+
+    def record(g, c, boundary, r):
+        cases.append((g, c, np.asarray(boundary).tolist(), r))
+        return check_radius(g, c, boundary, r)
+
+    monkeypatch.setattr(spanforge.spanner, "check_radius", record)
+    for g, k, t in [
+        (gen_gnp(120, 0.08, ("uniform", 1, 10), 1), 8, 2),
+        (gen_gnp(120, 0.08, "unit", 2), 4, 1),
+        (gen_grid(10, 10), 9, 2),
+    ]:
+        general_spanner(g, k, t, 3, radius_checks=True)
+    rng = random.Random(5)
+    kinds = set()
+    for g, c, boundary, r in cases:
+        permuted = WeightedGraph(g.n, g.u, g.v, rng.sample(g.w.tolist(), g.m))
+        for graph in (g, permuted):
+            walks = root_walks(graph, c)
+            checks = [(boundary, bound) for bound in range(r + 1)] + [([eid], r) for eid in boundary]
+            for edges, bound in checks:
+                cert = check_radius(graph, c, edges, bound)
+                got = (cert.passed, cert.radius_bound, cert.max_depth, cert.violation)
+                assert got == reference_certificate(graph, c, walks, edges, bound)
+                kinds.add(cert.violation and cert.violation["property"])
+    assert len(cases) >= 5
+    assert kinds == {None, "A", "B"}
 
 
 @pytest.mark.parametrize(

@@ -120,3 +120,17 @@ def test_the_build_path_has_no_stable_sort():
                     found.append(f"{path.name}:{node.lineno} {kw.arg}={value!r}")
     assert SOURCES
     assert found == []
+
+
+def test_check_radius_measures_the_trees_without_the_construction():
+    # The radius certificate re-measures depths from parent pointers, so it
+    # must not trust the stored depth or reuse the code that built the trees.
+    tree = ast.parse(next(p for p in SOURCES if p.name == "clustering.py").read_text(encoding="utf-8"))
+    body = next(top for top in tree.body if isinstance(top, ast.FunctionDef) and top.name == "check_radius")
+    found = [
+        f"line {node.lineno}"
+        for node in ast.walk(body)
+        if (isinstance(node, ast.Attribute) and node.attr == "depth")
+        or (isinstance(node, ast.Name) and node.id in {"compose", "contract", "grow_clusters"})
+    ]
+    assert found == []
