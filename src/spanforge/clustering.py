@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import DomainError, WeightedGraph, _draws, sort_pairs, weight_order
+from .graph import DomainError, WeightedGraph, _draws, edge_id_array, sort_pairs, weight_order
 
 
 @dataclass
@@ -341,15 +341,12 @@ def check_radius(
     the parent pointers alone, never from the stored depth, by pointer
     doubling: top is an ancestor depth steps up, maxw the heaviest edge
     on the way, and each round doubles the distance until every top is
-    a root.  Raises
-    DomainError for a boundary id outside [0, m), and ValueError for an
-    active node whose cluster id is not a cluster or whose walk never
-    reaches a root (a parent cycle), naming the smallest such node.
+    a root.  Raises DomainError for a boundary id that is not an integer
+    in [0, m), and ValueError for an active node whose cluster id is not
+    a cluster or whose walk never reaches a root (a parent cycle), naming
+    the smallest such node.
     """
-    eids = np.asarray(boundary_edges, np.int64)
-    bad = (eids < 0) | (eids >= g.m)
-    if bad.any():
-        raise DomainError(f"edge id {eids[bad.argmax()]} not in graph")
+    eids = edge_id_array(g, boundary_edges)
     cluster_of, parent = clustering.cluster_of, clustering.parent
     n = len(cluster_of)
     linked = parent >= 0

@@ -5,6 +5,8 @@ id; every other module refers to edges by that index, which stays stable
 through cluster contraction and spanner extraction.  The generators and
 the loader hand int64/float64 edge columns to one normaliser; build_graph
 is the checking front end that turns Python (u, v, w) triples into them.
+The oracles take edge ids through edge_id_array, which checks them, and
+read a subgraph through arcs, its one arc table grouped by tail.
 
 Edge-list text format:
     # n m            optional header (keeps isolated vertices)
@@ -25,7 +27,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
@@ -219,60 +221,75 @@ def weight_order(w: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
     return by_id[tie]
 
 
-def edge_id_list(g: WeightedGraph, edge_ids: Iterable[int] | None = None) -> Sequence[int]:
-    """edge_ids as a sequence in their given order (all edges when None).
+def edge_id_array(g: WeightedGraph, edge_ids: Iterable[int] | None = None) -> np.ndarray:
+    """edge_ids as an intp array in their given order (all edges when None).
 
-    Raises DomainError for an id outside [0, m): a negative id would
-    otherwise index from the end of the columns without an error.
+    Raises DomainError naming the first id, as given, that is not an
+    integer in [0, m): a negative id would otherwise index from the end
+    of the columns, and a fraction would be truncated to an edge.
     """
     if edge_ids is None:
-        return range(g.m)
-    eids = list(edge_ids)
-    for eid in eids:
-        if not 0 <= eid < g.m:
-            raise DomainError(f"edge id {eid} not in graph")
-    return eids
+        return np.arange(g.m)
+    given = edge_ids if isinstance(edge_ids, np.ndarray) else list(edge_ids)
+    ids = np.asarray(given)
+    if ids.dtype.kind in "iu" and ids.ndim == 1:
+        bad = np.flatnonzero((ids < 0) | (ids >= g.m))
+        if not len(bad):
+            return ids.astype(np.intp, copy=False)
+        first = ids[bad[0]]
+    elif not ids.size:
+        return np.zeros(0, np.intp)  # np.asarray([]) is a float array
+    else:  # fractions, bools, ints past 64 bits, or not a flat sequence
+        not_id = (x for x in given if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not 0 <= x < g.m)
+        first = next(not_id, given[0])
+    raise DomainError(f"edge id {first} not in graph")
 
 
-def neighbour_lists(
-    g: WeightedGraph, edge_ids: Iterable[int] | None = None, weighted: bool = False
-) -> list[list]:
-    """Adjacency of the subgraph on edge_ids (all edges when None).
+class Arcs(NamedTuple):
+    """Both arcs (x, y) and (y, x) of each edge of a subgraph, grouped by
+    tail: vertex x's arcs are first[x]:first[x + 1] of head and w.  Their
+    order within a vertex is unspecified."""
 
-    nbrs[x] lists, in edge_ids order, the other end y of each edge at x,
-    or (y, w) when weighted.  Edge ids are checked by edge_id_list.
-    """
-    nbrs: list[list] = [[] for _ in range(g.n)]
-    us, vs, ws = g.u.tolist(), g.v.tolist(), g.w.tolist()
-    for eid in edge_id_list(g, edge_ids):
-        u, v, w = us[eid], vs[eid], ws[eid]
-        if weighted:
-            nbrs[u].append((v, w))
-            nbrs[v].append((u, w))
-        else:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-    return nbrs
+    first: np.ndarray
+    head: np.ndarray
+    w: np.ndarray
+
+
+def arcs(g: WeightedGraph, edge_ids: Iterable[int] | None = None) -> Arcs:
+    """The arc table of the subgraph on edge_ids (all edges when None,
+    repeats allowed), ids checked by edge_id_array."""
+    ids = edge_id_array(g, edge_ids)
+    tails = np.concatenate((g.u[ids], g.v[ids]))
+    order = np.argsort(tails)
+    first = np.zeros(g.n + 1, np.intp)
+    np.cumsum(np.bincount(tails, minlength=g.n), out=first[1:])
+    return Arcs(first, np.concatenate((g.v[ids], g.u[ids]))[order], np.tile(g.w[ids], 2)[order])
 
 
 def component_labels(g: WeightedGraph, edge_ids: Iterable[int] | None = None) -> list[int]:
-    """Connected-component label per vertex, over all edges or a subset."""
-    nbr = neighbour_lists(g, edge_ids)
-    label = [-1] * g.n
-    current = 0
-    for start in range(g.n):
-        if label[start] != -1:
-            continue
-        stack = [start]
-        label[start] = current
-        while stack:
-            x = stack.pop()
-            for y in nbr[x]:
-                if label[y] == -1:
-                    label[y] = current
-                    stack.append(y)
-        current += 1
-    return label
+    """Connected-component label per vertex, over all edges or a subset;
+    components are numbered in the order of their least vertex.
+
+    Each round hooks every root to the least root across its edges and
+    pointer-jumps until every vertex points at its root, after Shiloach
+    and Vishkin, "An O(log n) parallel connectivity algorithm" (J.
+    Algorithms, 1982).  A root only ever hooks to a smaller one, so each
+    component ends rooted at its least vertex.
+    """
+    ids = edge_id_array(g, edge_ids)
+    a, b = g.u[ids], g.v[ids]
+    root = np.arange(g.n)
+    while True:
+        ra, rb = root[a], root[b]
+        cross = ra != rb  # an edge inside one tree stays inside it
+        if not cross.any():
+            break
+        a, b, ra, rb = a[cross], b[cross], ra[cross], rb[cross]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+    is_root = root == np.arange(g.n)
+    return (np.cumsum(is_root) - 1)[root].tolist()
 
 
 # ----------------------------- file I/O ------------------------------------

@@ -5,9 +5,10 @@ distances come from label-setting Dijkstra, run on a block of sources
 at once for the audit and for all-pairs matrices and one heap at a time
 for dijkstra(), and from one BFS from all sources at once, its levels
 kept as bit planes, for all-pairs matrices whose edges all weigh exactly
-1.0 (all cross-checked by Bellman-Ford); stretch is audited edge by
-edge on the spanner subgraph, and size claims are measured over
-repeated seeded runs rather than trusted.
+1.0.  All three read the subgraph through one arc table, graph.arcs;
+Bellman-Ford, their cross-check, relaxes the edge columns themselves.
+Stretch is audited edge by edge on the spanner subgraph, and size claims
+are measured over repeated seeded runs rather than trusted.
 """
 
 from __future__ import annotations
@@ -21,16 +22,17 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .graph import (
+    Arcs,
     DomainError,
     WeightedGraph,
+    arcs,
     component_labels,
-    edge_id_list,
+    edge_id_array,
     gen_complete,
     gen_cycle,
     gen_gnp,
     gen_path,
     gen_star,
-    neighbour_lists,
     parse_generator_spec,
 )
 from .spanner import (
@@ -45,17 +47,18 @@ from .spanner import (
 INF = math.inf
 
 
-def _dijkstra_on(adj: list[list[tuple[int, float]]], source: int) -> list[float]:
-    dist = [INF] * len(adj)
+def _dijkstra_on(table: Arcs, source: int) -> list[float]:
+    first, heads, ws = table.first.tolist(), table.head.tolist(), table.w.tolist()
+    dist = [INF] * (len(first) - 1)
     dist[source] = 0.0
     heap = [(0.0, source)]
     while heap:
         d, x = heapq.heappop(heap)
         if d > dist[x]:
             continue
-        for y, w in adj[x]:
-            nd = d + w
-            if nd < dist[y]:
+        for i in range(first[x], first[x + 1]):
+            nd = d + ws[i]
+            if nd < dist[y := heads[i]]:
                 dist[y] = nd
                 heapq.heappush(heap, (nd, y))
     return dist
@@ -67,9 +70,9 @@ _GATHER_WORDS = 2**20
 _WORD = np.dtype("<u8")  # little-endian, so the uint8 view is host-independent
 
 
-def _bfs_all_sources(g: WeightedGraph, eids: Sequence[int]) -> np.ndarray:
-    """Unit-weight distance matrix of the subgraph on eids (checked ids,
-    repeats allowed) by one BFS from every source at once.
+def _bfs_all_sources(table: Arcs) -> np.ndarray:
+    """Unit-weight distance matrix of the subgraph whose arcs are table,
+    by one BFS from every source at once.
 
     Bit s % 64 of word s // 64 stands for source s, as in Then et al.,
     "The More the Merrier: Efficient Multi-Source Graph Traversal" (VLDB
@@ -83,26 +86,21 @@ def _bfs_all_sources(g: WeightedGraph, eids: Sequence[int]) -> np.ndarray:
     Levels are heap Dijkstra's floats, since every sum of 1.0s below
     2**53 is exact; a vertex a source never reached gets inf.
     """
-    n = g.n
-    ids = np.asarray(eids, dtype=np.intp)
-    heads = np.concatenate((g.v[ids], g.u[ids]))
-    tails = np.concatenate((g.u[ids], g.v[ids]))
-    if not len(heads):
+    n = len(table.first) - 1
+    if not len(table.head):
         out = np.full((n, n), INF)
         np.fill_diagonal(out, 0.0)
         return out
-    order = np.argsort(heads, kind="stable")
-    heads, tails = heads[order], tails[order]
     # One reduceat segment per vertex with an arc: a vertex with none has
     # no segment, since reduceat over an empty one returns an element.
-    # Every tail is also a head, so vertices are indexed by their
+    # Every head is also a tail, so vertices are indexed by their
     # position in `dest` from here on.
-    starts = np.flatnonzero(np.diff(heads, prepend=-1))
-    dest = heads[starts]
-    tail_pos = np.searchsorted(dest, tails)
+    dest = np.flatnonzero(np.diff(table.first))
+    starts = table.first[dest]
+    head_pos = np.searchsorted(dest, table.head)
     out = np.empty((n, n))
     words = -(-n // 64)
-    block = max(1, _GATHER_WORDS // len(tails))
+    block = max(1, _GATHER_WORDS // len(head_pos))
     for first in range(0, words, block):
         count = min(words, first + block) - first
         own = np.arange(*np.searchsorted(dest, [64 * first, 64 * (first + count)]))
@@ -118,7 +116,7 @@ def _bfs_all_sources(g: WeightedGraph, eids: Sequence[int]) -> np.ndarray:
         level = 0
         while len(rows):
             level += 1
-            new = np.bitwise_or.reduceat(frontier[:, tail_pos], starts, axis=1)
+            new = np.bitwise_or.reduceat(frontier[:, head_pos], starts, axis=1)
             new &= ~visited
             visited |= new
             if level == 1 << len(planes):
@@ -193,18 +191,17 @@ _SCATTER = 2**14
 
 
 def _batched_dijkstra(
-    g: WeightedGraph,
-    eids: Sequence[int],
+    table: Arcs,
     sources: Sequence[int],
     targets: Sequence[np.ndarray] | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Exact distances on the subgraph on eids (checked ids, repeats
-    allowed) from each of sources, by label-setting rounds over a block
-    of sources at once.
+    """Exact distances on the subgraph whose arcs are table from each of
+    sources, by label-setting rounds over a block of sources at once.
 
-    Yields (i, rows) per block: rows[j] holds the distances from
-    sources[i[j]], final at every vertex of targets[i[j]] (at every
-    vertex when targets is None); other entries may still be tentative.
+    Yields (i, rows) per block, i the next run of consecutive indices:
+    rows[j] holds the distances from sources[i[j]], final at every
+    vertex of targets[i[j]] (at every vertex when targets is None);
+    other entries may still be tentative.
 
     Each round, a row whose least unsettled distance is m settles every
     vertex y with D[y] <= m + minw[y], minw[y] being the lightest edge at
@@ -216,19 +213,12 @@ def _batched_dijkstra(
     heap Dijkstra's floats, zero weights included.  A row stops once its
     targets are settled or m is inf; the block runs until all have.
     """
-    n = g.n
-    ids = np.asarray(eids, dtype=np.intp)
-    tails = np.concatenate((g.u[ids], g.v[ids]))
-    order = np.argsort(tails, kind="stable")
-    heads = np.concatenate((g.v[ids], g.u[ids]))[order]
-    arc_w = np.concatenate((g.w[ids], g.w[ids]))[order]
-    first_arc = np.searchsorted(tails[order], np.arange(n))
-    degree = np.bincount(tails, minlength=n)
+    n = len(table.first) - 1
     minw = np.full(n, INF)
-    np.minimum.at(minw, heads, arc_w)
+    np.minimum.at(minw, table.head, table.w)
     # A vertex with no edge gets minw 0, not inf, so that an unreached
     # vertex (D = inf) never passes the test while m is finite.
-    minw[degree == 0] = 0.0
+    minw[np.diff(table.first) == 0] = 0.0
 
     src = np.asarray(sources, dtype=np.intp)
     rows = max(1, _BLOCK_CELLS // n)
@@ -251,18 +241,11 @@ def _batched_dijkstra(
             if targets is not None:
                 live &= (need & ~settled).any(axis=1)
             frontier[~live] = False
-            _relax(dist, frontier, first_arc, degree, heads, arc_w)
+            _relax(dist, frontier, table)
         yield i, dist
 
 
-def _relax(
-    dist: np.ndarray,
-    frontier: np.ndarray,
-    first_arc: np.ndarray,
-    degree: np.ndarray,
-    heads: np.ndarray,
-    arc_w: np.ndarray,
-) -> None:
+def _relax(dist: np.ndarray, frontier: np.ndarray, table: Arcs) -> None:
     """dist[r, y] = min(dist[r, y], dist[r, x] + w) for every arc (x, y, w)
     out of each frontier cell (r, x).  Scatters take whole cells, cut
     where the running arc count passes a multiple of _SCATTER, so each
@@ -270,9 +253,10 @@ def _relax(
     n = dist.shape[1]
     cells = np.flatnonzero(frontier)
     x = cells % n
-    deg = degree[x]
+    first = table.first[x]
+    deg = table.first[x + 1] - first
     ends = np.cumsum(deg)
-    shift = first_arc[x] - (ends - deg)  # arc = relaxation index + shift
+    shift = first - (ends - deg)  # arc = relaxation index + shift
     flat = dist.reshape(-1)  # a view: dist is C-contiguous
     total = int(ends[-1]) if len(ends) else 0
     cuts = np.searchsorted(ends, np.arange(_SCATTER, total, _SCATTER), side="right")
@@ -280,8 +264,8 @@ def _relax(
         if a == b:
             continue
         arc = np.arange(ends[a] - deg[a], ends[b - 1]) + np.repeat(shift[a:b], deg[a:b])
-        at = np.repeat(cells[a:b] - x[a:b], deg[a:b]) + heads[arc]
-        np.minimum.at(flat, at, np.repeat(flat[cells[a:b]], deg[a:b]) + arc_w[arc])
+        at = np.repeat(cells[a:b] - x[a:b], deg[a:b]) + table.head[arc]
+        np.minimum.at(flat, at, np.repeat(flat[cells[a:b]], deg[a:b]) + table.w[arc])
 
 
 def apsp_matrix(g: WeightedGraph, edge_ids: Iterable[int] | None = None) -> np.ndarray:
@@ -294,11 +278,11 @@ def apsp_matrix(g: WeightedGraph, edge_ids: Iterable[int] | None = None) -> np.n
     floats as heap Dijkstra would.  Other equal weights keep Dijkstra:
     its running sums (0.1 + 0.1 + ...) are not level * w.
     """
-    eids = edge_id_list(g, edge_ids)
-    if np.all(g.w[np.asarray(eids, dtype=np.intp)] == 1.0):
-        return _bfs_all_sources(g, eids)
+    table = arcs(g, edge_ids)
+    if np.all(table.w == 1.0):
+        return _bfs_all_sources(table)
     out = np.empty((g.n, g.n), dtype=np.float64)
-    for done, rows in _batched_dijkstra(g, eids, range(g.n)):
+    for done, rows in _batched_dijkstra(table, range(g.n)):
         out[done] = rows
     return out
 
@@ -311,14 +295,15 @@ def dijkstra(g: WeightedGraph, source: int, edge_ids: Iterable[int] | None = Non
     """
     if not (0 <= source < g.n):
         raise DomainError(f"source {source} out of range")
-    return _dijkstra_on(neighbour_lists(g, edge_ids, weighted=True), source)
+    return _dijkstra_on(arcs(g, edge_ids), source)
 
 
 def bellman_ford(g: WeightedGraph, source: int, edge_ids: Iterable[int] | None = None) -> list[float]:
-    """Independent re-computation of single-source distances by relaxation."""
+    """Independent re-computation of single-source distances by relaxation
+    over the edge columns, without the arc table."""
     if not (0 <= source < g.n):
         raise DomainError(f"source {source} out of range")
-    eids = edge_id_list(g, edge_ids)
+    eids = edge_id_array(g, edge_ids).tolist()
     us, vs, ws = g.u.tolist(), g.v.tolist(), g.w.tolist()
     dist = [INF] * g.n
     dist[source] = 0.0
@@ -386,32 +371,31 @@ def audit_stretch(g: WeightedGraph, spanner_edges: Iterable[int], bound: float) 
     settled.  Unreachable endpoints fail with an infinite ratio (a spanner
     must preserve connectivity).
     """
-    spanner = set(spanner_edges)
-    eids = edge_id_list(g, spanner)
-    us, vs, ws = g.u.tolist(), g.v.tolist(), g.w.tolist()
-    ratios = [1.0] * g.m
-    by_source: dict[int, list[int]] = {}
-    for eid in range(g.m):
-        if eid not in spanner:
-            by_source.setdefault(us[eid], []).append(eid)
-
-    sources = list(by_source)
-    targets = [g.v[by_source[s]] for s in sources]
-    for done, rows in _batched_dijkstra(g, eids, sources, targets):
-        for i, row in zip(done.tolist(), rows):
-            for eid, d in zip(by_source[sources[i]], row[targets[i]].tolist()):
-                w = ws[eid]
-                if w > 0:
-                    ratios[eid] = d / w
-                else:
-                    ratios[eid] = 1.0 if d == 0 else INF
-
-    max_ratio = max(ratios, default=1.0)
+    ids = edge_id_array(g, spanner_edges)
+    in_spanner = np.zeros(g.m, bool)
+    in_spanner[ids] = True
+    # The edges outside the spanner grouped by their u end, the source:
+    # sources[i]'s edges are edge[start[i]:start[i + 1]].
+    outside = np.flatnonzero(~in_spanner)
+    edge = outside[np.argsort(g.u[outside])]
+    tail, far = g.u[edge], g.v[edge]
+    start = np.flatnonzero(np.diff(tail, prepend=-1, append=g.n))
+    sources = tail[start[:-1]]
+    row = np.repeat(np.arange(len(sources)), np.diff(start))
+    d = np.empty(len(edge))
+    for done, rows in _batched_dijkstra(arcs(g, ids), sources, np.split(far, start[1:-1])):
+        part = slice(start[done[0]], start[done[-1] + 1])
+        d[part] = rows[row[part] - done[0], far[part]]
+    w = g.w[edge]
+    ratio = np.ones(g.m)
+    ratio[edge] = np.divide(d, w, out=np.where(d == 0, 1.0, INF), where=w > 0)
+    bad = np.flatnonzero(ratio > bound)
     failing = [
-        {"edge": eid, "u": us[eid], "v": vs[eid], "w": ws[eid], "ratio": r}
-        for eid, r in enumerate(ratios)
-        if r > bound
+        {"edge": eid, "u": u, "v": v, "w": x, "ratio": r}
+        for eid, u, v, x, r in zip(*(a.tolist() for a in (bad, g.u[bad], g.v[bad], g.w[bad], ratio[bad])))
     ]
+    ratios = ratio.tolist()
+    max_ratio = max(ratios, default=1.0)
     return StretchAudit(
         bound=bound,
         ratios=ratios,

@@ -397,9 +397,10 @@ def test_check_radius_rejects_a_node_outside_every_cluster(cluster_of, node, cid
         check_radius(gen_path(3), chain, [], 3)
 
 
-@pytest.mark.parametrize("eid", [-1, 2, 2**40])
+@pytest.mark.parametrize("eid", [-1, 2, 2**40, 0.5])
 def test_check_radius_rejects_boundary_ids_outside_the_graph(eid):
-    # -1 would read the last edge and m would overrun the columns.
+    # -1 would read the last edge, m would overrun the columns and 0.5
+    # would be truncated to edge 0.
     chain = clustering([0, 0, 0], [None, (0, 0), (1, 1)], [0, 1, 2])
     with pytest.raises(DomainError, match=rf"^edge id {eid} not in graph$"):
         check_radius(gen_path(3), chain, [0, eid], 3)

@@ -2,9 +2,10 @@
 of sources at a time for the audit and for weighted apsp_matrix, and
 one BFS from all sources at once for apsp_matrix on unit weights.
 
-All must give heap Dijkstra's floats.  The public dijkstra() and
-bellman_ford() stay heap-based and relaxation-based, so they are the
-cross-checks here.
+All must give heap Dijkstra's floats.  The heap dijkstra() reads the
+same arc table as the batched paths, which test_graph checks against the
+edge columns; bellman_ford() relaxes the edge columns themselves, so it
+is the cross-check that shares no adjacency code with them.
 """
 
 import math
@@ -33,7 +34,7 @@ from spanforge import (
     two_phase_spanner,
 )
 from spanforge import oracles
-from spanforge.graph import neighbour_lists
+from spanforge.graph import arcs
 from spanforge.oracles import _batched_dijkstra, _dijkstra_on
 
 
@@ -85,20 +86,20 @@ SUBGRAPHS = {
 
 
 def heap_rows(g, eids):
-    adj = neighbour_lists(g, eids, weighted=True)
-    return np.array([_dijkstra_on(adj, s) for s in range(g.n)], dtype=np.float64)
+    table = arcs(g, eids)
+    return np.array([_dijkstra_on(table, s) for s in range(g.n)], dtype=np.float64)
 
 
 def heap_audit(g, spanner):
     """audit_stretch's ratios from one heap Dijkstra per source."""
     spanner = set(spanner)
-    adj = neighbour_lists(g, spanner, weighted=True)
+    table = arcs(g, spanner)
     rows = {}
     ratios = [1.0] * g.m
     for e, (u, v, w) in enumerate(zip(g.u.tolist(), g.v.tolist(), g.w.tolist())):
         if e not in spanner:
             if u not in rows:
-                rows[u] = _dijkstra_on(adj, u)
+                rows[u] = _dijkstra_on(table, u)
             d = rows[u][v]
             ratios[e] = d / w if w > 0 else (1.0 if d == 0 else math.inf)
     return ratios
@@ -237,12 +238,12 @@ def test_batched_dijkstra_yields_each_source_once_with_its_targets_final():
     sources = [3, 3, 25, 0, 39, 3]
     targets = [np.array(t) for t in ([4], [4, 4, 30], [21], [0], [20, 39], [18])]
     seen = []
-    for done, rows in _batched_dijkstra(g, range(g.m), sources, targets):
+    for done, rows in _batched_dijkstra(arcs(g), sources, targets):
         for i, row in zip(done.tolist(), rows):
             seen.append(i)
             assert row[targets[i]].tobytes() == expected[sources[i], targets[i]].tobytes()
     assert sorted(seen) == list(range(len(sources)))
-    assert list(_batched_dijkstra(g, range(g.m), [], [])) == []
+    assert list(_batched_dijkstra(arcs(g), [], [])) == []
 
 
 def test_weighted_disconnected_spanner_audits_to_an_infinite_ratio():
@@ -281,11 +282,13 @@ ORACLES = {
 }
 
 
-@pytest.mark.parametrize("bad", ["-1", "m"])
+@pytest.mark.parametrize("bad", ["-1", "m", "0.5"])
 @pytest.mark.parametrize("oracle", sorted(ORACLES))
 def test_oracles_reject_edge_ids_outside_the_graph(oracle, bad):
-    # Without the check, -1 silently read the last edge and m raised IndexError.
+    # Without the check, -1 silently read the last edge and m raised
+    # IndexError; 0.5 was read as edge 0 by apsp_matrix and raised
+    # TypeError in dijkstra and component_labels.
     g = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0)])
-    eid = -1 if bad == "-1" else g.m
+    eid = {"-1": -1, "m": g.m, "0.5": 0.5}[bad]
     with pytest.raises(DomainError, match=f"edge id {eid} not in graph"):
         ORACLES[oracle](g, [0, eid])

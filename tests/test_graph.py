@@ -30,6 +30,7 @@ from spanforge import (
     parse_generator_spec,
     write_edge_list,
 )
+from component_dfs import dfs_component_labels
 
 
 def roundtrip(g):
@@ -149,6 +150,78 @@ def test_component_labels():
     assert labels[0] == labels[1]
     assert labels[2] == labels[3]
     assert len({labels[0], labels[2], labels[4]}) == 3
+
+
+@st.composite
+def edge_subsets(draw):
+    """A graph with up to 30 vertices, some of them isolated, and a list
+    of its edge ids with repeats."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    weight = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+    g = build_graph(n, [(a, b, draw(weight)) for a, b in draw(st.lists(pairs, max_size=40))])
+    eids = draw(st.lists(st.integers(0, g.m - 1), max_size=50)) if g.m else []
+    return g, eids
+
+
+@settings(max_examples=200)
+@given(edge_subsets())
+def test_component_labels_equal_the_depth_first_search(case):
+    g, eids = case
+    assert component_labels(g) == dfs_component_labels(g)
+    assert component_labels(g, eids) == dfs_component_labels(g, eids)
+    assert component_labels(g, []) == list(range(g.n))
+
+
+def test_component_labels_on_a_long_path_with_shuffled_vertex_ids():
+    # Root hooking needs more rounds when the vertex ids along a path are
+    # out of order; every 997th edge left out splits it into components.
+    n = 10**5
+    order = list(range(n))
+    random.Random(5).shuffle(order)
+    g = build_graph(n, [(a, b, 1.0) for a, b in zip(order, order[1:])])
+    cut = [e for e in range(g.m) if e % 997]
+    assert component_labels(g) == dfs_component_labels(g) == [0] * n
+    labels = component_labels(g, cut)
+    assert labels == dfs_component_labels(g, cut)
+    assert max(labels) == g.m - len(cut)
+
+
+def arc_listing(table, n):
+    """Each vertex's (head, weight) arcs of an arc table, sorted."""
+    first, head, w = (a.tolist() for a in table)
+    return [sorted(zip(head[first[x]:first[x + 1]], w[first[x]:first[x + 1]])) for x in range(n)]
+
+
+def edge_listing(g, eids):
+    """Each vertex's (other end, weight) pairs over the edges eids, sorted."""
+    listing = [[] for _ in range(g.n)]
+    us, vs, ws = g.u.tolist(), g.v.tolist(), g.w.tolist()
+    for e in eids:
+        listing[us[e]].append((vs[e], ws[e]))
+        listing[vs[e]].append((us[e], ws[e]))
+    return [sorted(pairs) for pairs in listing]
+
+
+GNP40 = gen_gnp(40, 0.2, ("uniform", 1, 5), 3)
+# Vertices 0 and 7 to 9 have no edge, the last of them trailing.
+TRAILING = build_graph(10, [(1, 2, 0.5), (2, 3, 0.0), (3, 6, 2.0), (1, 6, 1.0)])
+
+
+@settings(max_examples=200)
+@given(edge_subsets())
+@example(case=(GNP40, None))
+@example(case=(GNP40, [7, 0, 7, 3, 3, 3]))
+@example(case=(GNP40, []))
+@example(case=(TRAILING, None))
+@example(case=(TRAILING, [3, 1]))
+def test_arcs_list_both_arcs_of_each_edge_by_tail(case):
+    g, eids = case
+    table = spanforge.graph.arcs(g, eids)
+    ids = range(g.m) if eids is None else eids
+    assert arc_listing(table, g.n) == edge_listing(g, ids)
+    assert table.first[0] == 0 and len(table.first) == g.n + 1
+    assert table.first[-1] == len(table.head) == len(table.w) == 2 * len(ids)
 
 
 def test_parse_generator_spec():

@@ -134,3 +134,16 @@ def test_check_radius_measures_the_trees_without_the_construction():
         or (isinstance(node, ast.Name) and node.id in {"compose", "contract", "grow_clusters"})
     ]
     assert found == []
+
+
+def test_bellman_ford_relaxes_the_edge_columns_without_the_arc_table():
+    # bellman_ford is the cross-check of the Dijkstra and BFS oracles, so it
+    # must not read the arc table that they all share.
+    tree = ast.parse(next(p for p in SOURCES if p.name == "oracles.py").read_text(encoding="utf-8"))
+    body = next(top for top in tree.body if isinstance(top, ast.FunctionDef) and top.name == "bellman_ford")
+    found = [
+        f"line {node.lineno}"
+        for node in ast.walk(body)
+        if isinstance(node, ast.Name) and node.id in {"arcs", "Arcs", "_batched_dijkstra", "_dijkstra_on"}
+    ]
+    assert found == []
