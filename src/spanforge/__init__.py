@@ -48,7 +48,6 @@ from .oracles import (
     apsp_matrix,
     audit_stretch,
     bellman_ford,
-    bruteforce_equivalence_suite,
     dijkstra,
     parallel_repetition,
     size_study,

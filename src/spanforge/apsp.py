@@ -21,17 +21,18 @@ from .oracles import apsp_matrix
 from .spanner import general_spanner, stretch_bound
 
 EXACT_APSP_GUARD = 2000
+COORDINATOR_FACTOR = 8.0
 
 
 class ApspBoundError(RuntimeError):
     """The realized APSP ratio exceeded the schedule's stretch bound."""
 
 
-def coordinator_budget(n: int, factor: float = 8.0) -> float:
-    """Reference memory budget factor * n * log2(log2 n) for holding the
-    spanner on one coordinator; reported, never enforced."""
+def coordinator_budget(n: int) -> float:
+    """Reference memory budget COORDINATOR_FACTOR * n * log2(log2 n) for
+    holding the spanner on one coordinator; reported, never enforced."""
     inner = max(2.0, math.log2(max(2, n)))
-    return factor * n * math.log2(inner)
+    return COORDINATOR_FACTOR * n * math.log2(inner)
 
 
 @dataclass

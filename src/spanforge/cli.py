@@ -16,8 +16,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .apsp import ApspBoundError, apsp_experiment
 from .graph import (
     DomainError, EdgeListError, WeightedGraph, load_edge_list, parse_generator_spec, write_edge_list
@@ -70,6 +68,7 @@ def cmd_build(args) -> int:
     if args.gen is not None:
         source, make = _generator(args.gen)
     _check_gamma(args.gamma)
+    bound = stretch_bound(args.algo, args.k, t) if args.audit == "auto" else args.audit
     if args.gen is None:
         source, g = args.input, load_edge_list(args.input)
     else:
@@ -77,12 +76,11 @@ def cmd_build(args) -> int:
     build = ALGORITHMS[args.algo](g, args.k, t, args.seed)
     report = build_report(source, args.algo, build, args.gamma)
     if args.spanner_out:
-        ids = np.array(build.spanner_edges, np.intp)
+        ids = build.spanner_edges
         spanner = WeightedGraph(g.n, g.u[ids], g.v[ids], g.w[ids])
         write_edge_list(spanner, args.spanner_out)
     status = 0
-    if args.audit is not None:
-        bound = stretch_bound(args.algo, args.k, t) if args.audit == "auto" else args.audit
+    if bound is not None:
         audit = audit_stretch(g, build.spanner_edges, bound)
         report["audit"] = audit.as_dict()
         status = 0 if audit.passed else 1

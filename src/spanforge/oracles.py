@@ -15,32 +15,17 @@ from __future__ import annotations
 
 import heapq
 import math
-import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graph import (
-    Arcs,
-    DomainError,
-    WeightedGraph,
-    arcs,
-    component_labels,
-    edge_id_array,
-    gen_complete,
-    gen_cycle,
-    gen_gnp,
-    gen_path,
-    gen_star,
-    parse_generator_spec,
-)
+from .graph import Arcs, DomainError, WeightedGraph, arcs, edge_id_array, parse_generator_spec
 from .spanner import (
     SpannerBuild,
     baswana_sen,
     cluster_merge_spanner,
     general_spanner,
-    stretch_bound,
     two_phase_spanner,
 )
 
@@ -587,60 +572,3 @@ def parallel_repetition(
         return RepetitionResult(builds[chosen], chosen, False, runs)
     smallest = min(range(repetitions), key=lambda r: (builds[r].size, r))
     return RepetitionResult(builds[smallest], smallest, True, runs)
-
-
-def _named_small_family(max_n: int) -> list[tuple[str, WeightedGraph]]:
-    graphs: list[tuple[str, WeightedGraph]] = []
-    for n in range(2, max_n + 1):
-        graphs.append((f"path-{n}", gen_path(n)))
-    for n in range(3, max_n + 1):
-        graphs.append((f"cycle-{n}", gen_cycle(n)))
-    for n in range(2, max_n + 1):
-        graphs.append((f"complete-{n}", gen_complete(n)))
-    for n in range(2, max_n + 1):
-        graphs.append((f"star-{n}", gen_star(n)))
-    return graphs
-
-
-def bruteforce_equivalence_suite(max_n: int, random_graphs: int = 100, seed: int = 0) -> dict:
-    """Cross-check every algorithm on an exhaustive small-graph family.
-
-    Over paths, cycles, cliques and stars up to max_n plus `random_graphs`
-    seeded G(n, p) instances, each algorithm must pass audit_stretch at
-    its theoretical bound and the spanner must induce exactly the same
-    connected components as the input.
-    """
-    if max_n > 12:
-        raise DomainError("max_n must be <= 12 (brute-force family)")
-    if max_n < 2:
-        raise DomainError("max_n must be >= 2")
-
-    graphs = _named_small_family(max_n)
-    rng = random.Random(seed)
-    for idx in range(random_graphs):
-        n = rng.randint(4, max_n)
-        p = rng.choice([0.3, 0.5, 0.8])
-        graphs.append((f"gnp-{idx}", gen_gnp(n, p, "unit", seed=rng.getrandbits(32))))
-
-    cases = [
-        ("bs", 2, 1),
-        ("bs", 3, 1),
-        ("merge", 2, 1),
-        ("merge", 4, 1),
-        ("general", 4, 2),
-        ("twophase", 4, 1),
-    ]
-
-    failures: list[dict] = []
-    run_count = 0
-    for name, g in graphs:
-        base_components = component_labels(g)
-        for algo, k, t in cases:
-            run_count += 1
-            build = ALGORITHMS[algo](g, k, t, seed=run_count)
-            audit = audit_stretch(g, build.spanner_edges, stretch_bound(algo, k, t))
-            if not audit.passed:
-                failures.append({"graph": name, "algo": algo, "k": k, "t": t, "why": "stretch"})
-            if component_labels(g, build.spanner_edges) != base_components:
-                failures.append({"graph": name, "algo": algo, "k": k, "t": t, "why": "components"})
-    return {"graphs": len(graphs), "runs": run_count, "failures": failures}

@@ -16,8 +16,8 @@ never contracts, reproducing the classic randomized (2k-1)-spanner
 construction of Baswana and Sen.
 
 Every build returns a SpannerBuild carrying the spanner edge ids, a
-disposition for each original edge, and a per-epoch trace of cluster and
-edge counts.
+disposition code for each original edge, and a per-epoch trace of
+cluster and edge counts.
 """
 
 from __future__ import annotations
@@ -69,20 +69,26 @@ def stretch_bound(algo: str, k: int, t: int = 1) -> float:
 
     bs: 2k-1.  twophase: the hop bound 2r + (2r+1)(2r-1) + 2r with
     r = ceil(sqrt(k)).  Both are ints.  general: 2*k**stretch_exponent(t);
-    merge is general with t=1.  t is read by general only.
+    merge is general with t=1.  t is read by general only.  A bound past
+    the largest float raises DomainError: no audit can compare with it.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    if algo == "bs":
-        return 2 * k - 1
-    if algo == "twophase":
-        r = _ceil_sqrt(k)
-        return 2 * r + (2 * r + 1) * (2 * r - 1) + 2 * r
-    if algo == "merge":
-        t = 1
-    elif algo != "general":
+    if algo not in ("bs", "twophase", "general", "merge"):
         raise DomainError(f"unknown algorithm {algo!r}")
-    return 2 * k ** stretch_exponent(t)
+    try:
+        if algo == "bs":
+            bound = 2 * k - 1
+        elif algo == "twophase":
+            r = _ceil_sqrt(k)
+            bound = 2 * r + (2 * r + 1) * (2 * r - 1) + 2 * r
+        else:
+            bound = 2 * k ** stretch_exponent(1 if algo == "merge" else t)
+        if math.isfinite(bound):  # an int past the largest float raises OverflowError
+            return bound
+    except OverflowError:
+        pass
+    raise DomainError(f"the {algo} stretch bound overflows a float: k is too large")
 
 
 def epoch_count(k: int, t: int) -> int:
@@ -177,14 +183,16 @@ class EpochTrace:
         return asdict(self)
 
 
-@dataclass
+@dataclass(eq=False)
 class SpannerBuild:
     """Result of one spanner construction.
 
-    disposition(eid) is ("in_spanner",), ("discarded", epoch, iteration,
-    rule) or ("unprocessed",); after a completed run no edge is
-    unprocessed.  Identical (graph, params, seed) produce byte-identical
-    to_json() output.
+    record holds one code per edge: -1 if the edge is in the spanner,
+    else the index of its (epoch, iteration, rule) in records.
+    spanner_edges is np.flatnonzero(record < 0).  Both arrays are
+    read-only.  disposition(eid) is ("in_spanner",) or ("discarded",
+    epoch, iteration, rule).  Identical (graph, params, seed) produce
+    byte-identical to_json() output.
     """
 
     n: int
@@ -192,35 +200,27 @@ class SpannerBuild:
     k: int
     t: int
     seed: int
-    spanner_edges: list[int]
+    record: np.ndarray
+    records: tuple[tuple[int, int | None, str], ...]
+    spanner_edges: np.ndarray
     epochs: list[EpochTrace]
     phase2_added: int
     phase2_discarded: int
     final_clustering: Clustering
     radius_checks: list[RadiusCertificate] | None
-    _ledger: _EdgeLedger
-
-    LIVE, IN, OUT = 0, 1, 2
 
     def disposition(self, eid: int):
-        ledger = self._ledger
-        s = ledger.state[eid]
-        if s == self.IN:
-            return ("in_spanner",)
-        if s == self.OUT:
-            return ("discarded",) + ledger.records[ledger.record[eid]]
-        return ("unprocessed",)
+        code = self.record[eid]
+        return ("in_spanner",) if code < 0 else ("discarded",) + self.records[code]
 
     @property
     def size(self) -> int:
         return len(self.spanner_edges)
 
     def discard_histogram(self) -> dict[str, int]:
-        ledger = self._ledger
-        out = ledger.state == self.OUT
-        counts = np.bincount(ledger.record[out], minlength=len(ledger.records))
+        counts = np.bincount(self.record[self.record >= 0], minlength=len(self.records))
         hist: dict[str, int] = {}
-        for (_, _, rule), count in zip(ledger.records, counts.tolist()):
+        for (_, _, rule), count in zip(self.records, counts.tolist()):
             if count:
                 hist[rule] = hist.get(rule, 0) + count
         return hist
@@ -230,11 +230,11 @@ class SpannerBuild:
             "graph": {"n": self.n, "m": self.m},
             "params": {"k": self.k, "t": self.t, "seed": self.seed},
             "size": self.size,
-            "spanner_edges": self.spanner_edges,
+            "spanner_edges": self.spanner_edges.tolist(),
             "dispositions": {
                 "in_spanner": self.size,
                 "discarded": self.discard_histogram(),
-                "unprocessed": int(np.count_nonzero(self._ledger.state == self.LIVE)),
+                "unprocessed": 0,
             },
             "epochs": [ep.as_dict() for ep in self.epochs],
             "phase2": {"added": self.phase2_added, "discarded": self.phase2_discarded},
@@ -256,12 +256,14 @@ class SpannerBuild:
 
 
 class _EdgeLedger:
-    """Each edge's fate while an algorithm runs: its state and, once
-    discarded, the index of its (epoch, iteration, rule) record."""
+    """Each edge's fate while an algorithm runs, as the code it ends with
+    in SpannerBuild.record: LIVE until decided, then IN, or the index of
+    its (epoch, iteration, rule) record once discarded."""
+
+    LIVE, IN = -2, -1
 
     def __init__(self, m: int):
-        self.state = np.zeros(m, np.uint8)  # SpannerBuild.LIVE
-        self.record = np.zeros(m, np.int32)
+        self.record = np.full(m, self.LIVE, np.int32)
         self.records: list[tuple[int, int | None, str]] = []
         self._codes: dict[tuple[int, int | None, str], int] = {}
 
@@ -273,25 +275,24 @@ class _EdgeLedger:
             self.records.append(key)
         return self._codes[key]
 
+    def live(self, eids: np.ndarray) -> np.ndarray:
+        """Mask of the live edges among eids."""
+        return self.record[eids] == self.LIVE
+
     def add(self, eids: np.ndarray) -> None:
         """Put the live edges among eids into the spanner."""
-        self.state[eids[self.state[eids] == SpannerBuild.LIVE]] = SpannerBuild.IN
+        self.record[eids[self.live(eids)]] = self.IN
 
     def discard(self, eids: np.ndarray, code: int | np.ndarray) -> None:
         """Discard the live edges among eids under one record code, or
         under code[i] for eids[i]; then eids lists each edge at most once."""
-        live = np.flatnonzero(self.state[eids] == SpannerBuild.LIVE)
-        eids = eids[live]
-        self.state[eids] = SpannerBuild.OUT
-        self.record[eids] = code if np.isscalar(code) else code[live]
+        live = np.flatnonzero(self.live(eids))
+        self.record[eids[live]] = code if np.isscalar(code) else code[live]
 
     def decided(self, eids: np.ndarray) -> tuple[int, int]:
         """How many of eids are in the spanner and how many are discarded."""
-        state = self.state[eids]
-        return (
-            int(np.count_nonzero(state == SpannerBuild.IN)),
-            int(np.count_nonzero(state == SpannerBuild.OUT)),
-        )
+        record = self.record[eids]
+        return int(np.count_nonzero(record == self.IN)), int(np.count_nonzero(record >= 0))
 
 
 def _check_weight_order(w: np.ndarray) -> None:
@@ -410,7 +411,7 @@ def _run_iteration(
     d_next = grow_clusters(d, sampled, joiner, hosts, live[join_at])
 
     cluster_of = d_next.cluster_of
-    rest = np.flatnonzero(ledger.state[live] == SpannerBuild.LIVE)
+    rest = np.flatnonzero(ledger.live(live))
     ca, cb = cluster_of[a[rest]], cluster_of[b[rest]]
     if np.any((ca < 0) | (cb < 0)):
         raise RuntimeError("a live edge has an endpoint that left the clustering")
@@ -456,7 +457,7 @@ def _contract(
     returns the new quotient, the edges still live and the drop count."""
     quotient, dropped = contract(quotient, d, live, g)
     ledger.discard(dropped, ledger.code(epoch, iteration, RULE_DEDUP))
-    return quotient, live[ledger.state[live] == SpannerBuild.LIVE], len(dropped)
+    return quotient, live[ledger.live(live)], len(dropped)
 
 
 def _completion_sweep(
@@ -507,21 +508,25 @@ def _finish(
     final: Clustering,
     certs: list[RadiusCertificate] | None,
 ) -> SpannerBuild:
-    if np.any(ledger.state == SpannerBuild.LIVE):
+    record = ledger.record
+    if np.any(record == ledger.LIVE):
         raise RuntimeError("unprocessed edges remain")
+    spanner_edges = np.flatnonzero(record < 0)
+    record.flags.writeable = spanner_edges.flags.writeable = False
     return SpannerBuild(
         n=g.n,
         m=g.m,
         k=k,
         t=t,
         seed=seed,
-        spanner_edges=np.flatnonzero(ledger.state == SpannerBuild.IN).tolist(),
+        record=record,
+        records=tuple(ledger.records),
+        spanner_edges=spanner_edges,
         epochs=epochs,
         phase2_added=phase2[0],
         phase2_discarded=phase2[1],
         final_clustering=final,
         radius_checks=certs,
-        _ledger=ledger,
     )
 
 

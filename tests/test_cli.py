@@ -156,7 +156,20 @@ def test_audit_auto_bound(tmp_path, capsys, spec):
     assert report["bound"] == pytest.approx(AUTO_BOUNDS[spec])
 
 
-@pytest.mark.parametrize("spec", ["foo:3", "bs:0", "general:4", "twophase:4,2"])
+HUGE = "1" + "0" * 400  # an int past the largest float
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["foo:3", "bs:0", "general:4", "twophase:4,2"]
+    + [  # stretch bounds past the largest float
+        pytest.param(f"merge:{HUGE}", id="merge:huge"),
+        pytest.param("merge:1" + "0" * 308, id="merge:1e308"),
+        pytest.param(f"general:{HUGE},2", id="general:huge,2"),
+        pytest.param(f"bs:{HUGE}", id="bs:huge"),
+        pytest.param(f"twophase:{HUGE}", id="twophase:huge"),
+    ],
+)
 def test_audit_bad_auto_spec_exits_2(tmp_path, spec):
     g = gen_gnp(10, 0.4, "unit", 1)
     graph_file = tmp_path / "g.txt"
@@ -231,15 +244,12 @@ def test_cost_model_examples(tmp_path, schema):
     jsonschema.validate(read_json(out), schema)
 
 
-HUGE_T = "1" + "0" * 400
-
-
 @pytest.mark.parametrize(
     "argv",
     [
         ["cost", "--k", "4", "--t", "1", "--gamma", "1e-310"],
-        ["cost", "--k", "4", "--t", HUGE_T, "--gamma", "1"],
-        ["study", "--gen", "gnp:50:0.1:unit", "--k", "4", "--t", HUGE_T, "--trials", "1"],
+        ["cost", "--k", "4", "--t", HUGE, "--gamma", "1"],
+        ["study", "--gen", "gnp:50:0.1:unit", "--k", "4", "--t", HUGE, "--trials", "1"],
     ],
     ids=["tiny-gamma", "huge-t", "study-huge-t"],
 )
@@ -258,6 +268,18 @@ def test_build_writes_no_file_when_its_report_fails(tmp_path, capsys):
     )
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not spanner.exists() and not report.exists()
+
+
+def test_build_rejects_an_overflowing_auto_bound_before_it_builds(tmp_path, capsys):
+    spanner, report = tmp_path / "sp.txt", tmp_path / "rep.json"
+    code = run_cli(
+        ["build", "--gen", "path:3", "--algo", "merge", "--k", HUGE, "--audit", "auto",
+         "--spanner-out", str(spanner), "--out", str(report)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not spanner.exists() and not report.exists()
 
 

@@ -7,7 +7,6 @@ from spanforge import (
     audit_stretch,
     baswana_sen,
     bellman_ford,
-    bruteforce_equivalence_suite,
     build_graph,
     cluster_merge_spanner,
     dijkstra,
@@ -152,10 +151,3 @@ def test_spanner_preserves_components():
     build = general_spanner(g, 4, 2, 3)
     assert component_labels(g, build.spanner_edges) == component_labels(g)
 
-
-def test_bruteforce_equivalence_suite_small():
-    report = bruteforce_equivalence_suite(8, random_graphs=40, seed=1)
-    assert report["failures"] == []
-    assert report["graphs"] == (7 + 6 + 7 + 7) + 40
-    with pytest.raises(DomainError):
-        bruteforce_equivalence_suite(13)

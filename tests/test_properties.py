@@ -1,16 +1,35 @@
-"""Property tests of the spanner engine on random small graphs.
+"""Property tests of the spanner engine on random and named small graphs.
 
 Every build must decide each edge exactly once, keep the input's
 connected components, keep its final tree edges in the spanner, and pass
 the independent stretch audit at its algorithm's bound.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spanforge import audit_stretch, build_graph, component_labels, stretch_bound
+from spanforge import (
+    audit_stretch,
+    build_graph,
+    component_labels,
+    gen_complete,
+    gen_cycle,
+    gen_path,
+    gen_star,
+    stretch_bound,
+)
 from spanforge.oracles import ALGORITHMS
+
+# Every path, cycle, clique and star on at most 8 vertices.
+NAMED = (
+    [(f"path-{n}", gen_path, n) for n in range(2, 9)]
+    + [(f"cycle-{n}", gen_cycle, n) for n in range(3, 9)]
+    + [(f"clique-{n}", gen_complete, n) for n in range(2, 9)]
+    + [(f"star-{n}", gen_star, n) for n in range(2, 9)]
+)
+CASES = [("bs", 2, 1), ("bs", 3, 1), ("merge", 2, 1), ("merge", 4, 1), ("general", 4, 2), ("twophase", 4, 1)]
 
 
 @st.composite
@@ -24,9 +43,9 @@ def small_graphs(draw, unit: bool):
 
 def _check_build(g, algo, k, t, seed):
     build = ALGORITHMS[algo](g, k, t, seed)
-    spanner = set(build.spanner_edges)
+    spanner = set(build.spanner_edges.tolist())
 
-    assert all(build.disposition(e)[0] != "unprocessed" for e in range(g.m))
+    assert np.all((build.record >= -1) & (build.record < len(build.records)))
     assert build.size + sum(build.discard_histogram().values()) == g.m
     assert component_labels(g, build.spanner_edges) == component_labels(g)
     build.final_clustering.validate()
@@ -55,3 +74,9 @@ def test_engine_properties(algo, data, k, t, seed):
 )
 def test_twophase_properties_on_unit_weights(g, k, seed):
     _check_build(g, "twophase", k, 1, seed)
+
+
+@pytest.mark.parametrize("algo, k, t", CASES)
+@pytest.mark.parametrize("name, make, n", NAMED, ids=[name for name, _, _ in NAMED])
+def test_named_small_graphs(name, make, n, algo, k, t):
+    _check_build(make(n), algo, k, t, seed=n)

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,10 +25,10 @@ from spanforge import (
     stretch_exponent,
     two_phase_spanner,
 )
+from spanforge.graph import _from_columns
 from spanforge.spanner import (
     RULE_JOIN,
     RULE_SETTLE,
-    SpannerBuild,
     _completion_sweep,
     _EdgeLedger,
     _finish,
@@ -101,8 +103,8 @@ def test_epoch_count_integer_boundaries():
 def test_k1_spanner_is_whole_graph(run):
     g = gen_gnp(25, 0.3, "unit", 2)
     build = run(g)
-    assert build.spanner_edges == list(range(g.m))
-    assert all(build.disposition(e) == ("in_spanner",) for e in range(g.m))
+    assert build.spanner_edges.tolist() == list(range(g.m))
+    assert build.record.tolist() == [-1] * g.m
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
@@ -127,7 +129,7 @@ def test_baswana_sen_stretch_on_gnp():
 def test_cluster_merge_k4_complete_graph():
     g = build_graph(4, [(i, j, 1.0) for i in range(4) for j in range(i + 1, 4)])
     build = cluster_merge_spanner(g, 4, 13)
-    assert all(build.disposition(e)[0] != "unprocessed" for e in range(g.m))
+    assert np.all((build.record >= -1) & (build.record < len(build.records)))
     audit = audit_stretch(g, build.spanner_edges, 4 ** LOG2_3)
     assert audit.passed
 
@@ -200,9 +202,12 @@ def test_general_weighted_run_bounds_and_trace():
 def test_dispositions_partition_edges():
     g = gen_gnp(90, 0.15, ("uniform", 1, 9), 21)
     build = general_spanner(g, 5, 2, 21)
-    kinds = [build.disposition(e)[0] for e in range(g.m)]
-    assert kinds.count("unprocessed") == 0
-    assert kinds.count("in_spanner") == build.size
+    record = build.record
+    assert np.all((record >= -1) & (record < len(build.records)))
+    assert build.spanner_edges.tolist() == np.flatnonzero(record == -1).tolist()
+    kept, dropped = build.spanner_edges[0], np.flatnonzero(record >= 0)[0]
+    assert build.disposition(kept) == ("in_spanner",)
+    assert build.disposition(dropped) == ("discarded",) + build.records[record[dropped]]
     hist = build.discard_histogram()
     assert sum(hist.values()) + build.size == g.m
 
@@ -216,6 +221,27 @@ def test_tree_edges_of_final_clustering_are_spanner_edges():
     for v in range(g.n):
         if fc.parent[v] >= 0:
             assert fc.parent_edge[v] in spanner
+
+
+def test_build_result_is_arrays_of_a_few_bytes_per_edge():
+    # Random columns with average degree about 20.  The result keeps one
+    # int32 code per edge and the kept ids, not a Python int per kept edge.
+    n, draws = 20_000, 200_000
+    rng = np.random.default_rng(3)
+    g = _from_columns(n, rng.integers(0, n, draws), rng.integers(0, n, draws), rng.random(draws) + 1.0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        build = general_spanner(g, 8, 2, 5)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 20 * g.m
+    for ids in (build.spanner_edges, build.record):
+        assert not ids.flags.writeable
+    assert build.spanner_edges.dtype == np.intp and build.record.dtype == np.int32
 
 
 def test_determinism_byte_for_byte():
@@ -233,7 +259,7 @@ def test_seed_sensitivity_both_valid():
     assert audit_stretch(g, a.spanner_edges, bound).passed
     assert audit_stretch(g, b.spanner_edges, bound).passed
     # different seeds typically disagree; both must still be sound
-    assert a.spanner_edges != b.spanner_edges
+    assert a.spanner_edges.tolist() != b.spanner_edges.tolist()
 
 
 def test_params_validation():
@@ -264,9 +290,23 @@ def test_finish_rejects_unprocessed_edges():
         _finish(g, _EdgeLedger(g.m), 2, 1, 0, [], (0, 0), singleton_clustering(g), None)
 
 
+def test_finish_reads_record_code_0_as_a_discard():
+    # The first record's code is 0, next to the -1 of a kept edge.
+    g = gen_path(4)
+    ledger = _EdgeLedger(g.m)
+    ledger.add(np.array([1]))
+    ledger.discard(np.array([0, 2]), ledger.code(1, 1, RULE_JOIN))
+    build = _finish(g, ledger, 2, 1, 0, [], (0, 0), singleton_clustering(g), None)
+    assert build.record.tolist() == [0, -1, 0]
+    assert build.spanner_edges.tolist() == [1] and build.size == 1
+    assert build.disposition(0) == ("discarded", 1, 1, RULE_JOIN)
+    assert build.disposition(1) == ("in_spanner",)
+    assert build.discard_histogram() == {RULE_JOIN: 2}
+
+
 def _discards(ledger: _EdgeLedger) -> dict:
     """The ledger's discarded edges as {eid: (epoch, iteration, rule)}."""
-    out = np.flatnonzero(ledger.state == SpannerBuild.OUT)
+    out = np.flatnonzero(ledger.record >= 0)
     return {int(e): ledger.records[ledger.record[e]] for e in out}
 
 
@@ -286,7 +326,7 @@ def test_join_tie_goes_to_the_first_edge_in_live(live, winner, host, discarded):
     )
     assert d_next.cluster_of[0] == host
     assert parent_pairs(d_next)[0] == (g.edges[winner][1], winner)
-    assert ledger.state[winner] == SpannerBuild.IN
+    assert ledger.record[winner] == ledger.IN
     # The other edge into the host cluster is superseded; edges into the
     # other cluster are no lighter, so they stay live.
     assert _discards(ledger) == {e: (1, 1, RULE_JOIN) for e in discarded}
@@ -349,9 +389,8 @@ def test_edge_discarded_from_both_ends_keeps_the_smaller_nodes_rule(joiner, sett
         g, ledger, np.arange(5), d, np.array([h]), np.array([1, 2, 3, 0]), 1, 1, ""
     )
     assert parent_pairs(d_next)[j] == (h, join_edge)
-    assert ledger.state[heavy] == SpannerBuild.OUT
     assert _discards(ledger) == {heavy: (1, 1, RULE_JOIN if j < s else RULE_SETTLE)}
-    assert [ledger.state[e] for e in (1, 2, 3)] == [SpannerBuild.IN] * 3
+    assert ledger.record[[1, 2, 3]].tolist() == [ledger.IN] * 3
     assert survivors.tolist() == []
 
 
@@ -367,4 +406,4 @@ def test_completion_sweep_skips_edges_an_earlier_node_kept():
         g, ledger, final, np.arange(3), np.array([0, 1]), 1, "completion"
     )
     assert sweep == (2, 0)
-    assert ledger.state[0] == ledger.state[1] == SpannerBuild.IN
+    assert ledger.record[0] == ledger.record[1] == ledger.IN
