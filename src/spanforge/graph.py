@@ -131,15 +131,22 @@ def _from_columns(n: int, u, v, w) -> WeightedGraph:
     One sort of the packed (vertex pair, input position) pairs lists each
     pair's triples in input order, with no sort by weight: a running
     minimum over each pair's run finds its lightest weight, and a second
-    one its earliest triple of that weight.
+    one its earliest triple of that weight.  When the non-loops' pairs
+    already ascend strictly, as every generator emits them, each triple
+    is its pair's only one, so one O(m) check replaces the sort.
     """
     u, v, w = np.asarray(u, np.int64), np.asarray(v, np.int64), np.asarray(w, np.float64)
     if not np.all((0 <= u) & (u < n) & (0 <= v) & (v < n) & (0 <= w) & (w < math.inf)):
         raise DomainError(f"edge columns hold an id outside [0,{n}) or a bad weight")
     pos = np.flatnonzero(u != v)  # input positions of the non-loops
-    lo, hi, w = np.minimum(u[pos], v[pos]), np.maximum(u[pos], v[pos]), w[pos]
+    if len(pos) < len(u):
+        u, v, w = u[pos], v[pos], w[pos]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
     del u, v, pos  # free them before the sort
-    pair, order = lo * n + hi, np.arange(len(w))
+    pair = lo * n + hi
+    if not np.any(pair[1:] <= pair[:-1]):
+        return WeightedGraph(n, lo, hi, w)  # already sorted, each pair once
+    order = np.arange(len(w))
     sort_pairs(pair, order, max(len(w), 1))
     start = np.flatnonzero(np.diff(pair, prepend=-1))
     del pair
@@ -436,18 +443,64 @@ def _parse_lines(source: Iterable[str], n: int | None) -> WeightedGraph:
     return _from_columns(len(ids), list(map(remap.get, us)), list(map(remap.get, vs)), ws)
 
 
+# Edges that write_edge_list formats at once, as one byte matrix of a few
+# dozen bytes an edge.
+_WRITE_CHUNK = 2**14
+
+
 def write_edge_list(g: WeightedGraph, sink: str | Path | IO[str]) -> None:
-    """Write a graph in the edge-list format; round-trips bit-exactly."""
+    """Write a graph in the edge-list format; round-trips bit-exactly.
+
+    Each edge is written as the line f"{u} {v} {w!r}".  A chunk of edges
+    at a time becomes one ASCII byte matrix, a row per line, written with
+    one call: repr runs once per distinct weight of the chunk, and the
+    ids are cut into decimal digits in numpy.  Raises DomainError naming
+    the first edge with a negative id, which the format cannot hold (a
+    graph built without validate may have one), before writing anything.
+    """
+    for eid in np.flatnonzero((g.u < 0) | (g.v < 0))[:1].tolist():
+        raise DomainError(f"edge {eid} has a negative vertex id ({g.u[eid]}, {g.v[eid]})")
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8") as fh:
             write_edge_list(g, fh)
         return
     sink.write(f"# {g.n} {g.m}\n")
-    # A slice at a time, so that only one slice's Python numbers are alive.
-    for start in range(0, g.m, 4096):
-        part = slice(start, start + 4096)
-        for u, v, w in zip(g.u[part].tolist(), g.v[part].tolist(), g.w[part].tolist()):
-            sink.write(f"{u} {v} {w!r}\n")
+    for start in range(0, g.m, _WRITE_CHUNK):
+        part = slice(start, start + _WRITE_CHUNK)
+        sink.write(_edge_lines(g.u[part], g.v[part], g.w[part]))
+
+
+def _edge_lines(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> str:
+    """The lines f"{u} {v} {w!r}\\n" of nonnegative ids u, v and weights w.
+
+    Each row of one zero-filled uint8 matrix holds a line: u's digits, a
+    space, v's digits, a space, w's repr and a newline, with NUL for the
+    leading zeros of the ids and the padding of shorter weights.  No line
+    has a NUL, so dropping them leaves the text.  The weights' bit
+    patterns are their keys, so -0.0 and 0.0 stay apart.
+    """
+    bits, which = np.unique(w.view(np.uint64), return_inverse=True)
+    tokens = np.array([repr(x) for x in bits.view(np.float64).tolist()], "S")
+    width = len(str(max(int(u.max()), int(v.max()))))
+    cells = np.zeros((len(w), 2 * width + 3 + tokens.itemsize), np.uint8)
+    _digits(u.astype(np.uint32), cells[:, :width])
+    _digits(v.astype(np.uint32), cells[:, width + 1 : 2 * width + 1])
+    cells[:, [width, 2 * width + 1]] = ord(" ")
+    cells[:, 2 * width + 2 : -1] = tokens[which].view(np.uint8).reshape(len(w), -1)
+    cells[:, -1] = ord("\n")
+    return cells[cells != 0].tobytes().decode("ascii")
+
+
+def _digits(x: np.ndarray, out: np.ndarray) -> None:
+    """Write the decimal digits of uint32 x into the rows of the uint8
+    block out, right-aligned, as ASCII, with NUL for leading zeros.  The
+    division by a scalar 10 keeps numpy on its fast unsigned path."""
+    for col in reversed(range(out.shape[1])):
+        quotient = x // 10
+        out[:, col] = x - quotient * 10 + ord("0")
+        if col < out.shape[1] - 1:
+            out[x == 0, col] = 0
+        x = quotient
 
 
 # ----------------------------- generators ----------------------------------

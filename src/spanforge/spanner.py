@@ -633,12 +633,15 @@ def two_phase_spanner(g: WeightedGraph, k: int, seed: int) -> SpannerBuild:
     if k == 1:
         return _take_all(g, k, 1, seed)
 
+    try:
+        p = min(1.0, g.n ** (-1.0 / k))
+    except OverflowError:
+        raise DomainError("twophase's n**(-1/k) overflows a float: k is too large") from None
     t = _ceil_sqrt(k)
     rng = random.Random(seed)
     ledger = _EdgeLedger(g.m)
     quotient = identity_quotient(g)
     live = np.arange(g.m)  # unit weights, so already in weight order
-    p = min(1.0, g.n ** (-1.0 / k))
     d, live, iterations = _run_epoch(g, ledger, quotient, live, p, t, rng, 1)
     composed = compose(d, singleton_clustering(g), quotient, g)
     quotient, live, dedup = _contract(g, ledger, quotient, d, live, 1, t)

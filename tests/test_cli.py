@@ -283,6 +283,13 @@ def test_build_rejects_an_overflowing_auto_bound_before_it_builds(tmp_path, caps
     assert not spanner.exists() and not report.exists()
 
 
+
+def test_build_twophase_with_a_k_past_the_largest_float_is_one_error_line(capsys):
+    # Without --audit auto no bound check stops it before the build.
+    assert run_cli(["build", "--gen", "path:3", "--algo", "twophase", "--k", HUGE]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
 def test_study_single_trial(tmp_path, schema):
     csv_path = tmp_path / "study.csv"
     json_path = tmp_path / "study.json"

@@ -31,6 +31,7 @@ from spanforge import (
     write_edge_list,
 )
 from component_dfs import dfs_component_labels
+from line_writer import line_write_edge_list
 
 
 def roundtrip(g):
@@ -391,6 +392,49 @@ def test_build_graph_matches_the_reference(case):
     g.validate()
 
 
+
+@st.composite
+def sorted_pair_triples(draw):
+    """(n, triples) whose vertex pairs ascend strictly, as the generators
+    emit them; some triples name the higher end first."""
+    n = draw(st.integers(2, 8))
+    pairs = sorted(draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda pair: pair[0] < pair[1]))))
+    weight = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0, 10)
+    triples = []
+    for a, b in pairs:
+        triples.append((b, a, draw(weight)) if draw(st.booleans()) else (a, b, draw(weight)))
+    return n, triples
+
+
+def assert_edges_equal(g, expected):
+    assert g.edges == expected
+    assert [math.copysign(1, w) for _, _, w in g.edges] == [math.copysign(1, w) for _, _, w in expected]
+
+
+@settings(max_examples=200)
+@given(sorted_pair_triples(), st.randoms(use_true_random=False))
+def test_sorted_input_skips_the_sort_and_builds_the_reference_graph(case, rng):
+    n, triples = case
+    at = rng.randint(0, len(triples))
+    looped = triples[:at] + [(at % n, at % n, 3.0)] + triples[at:]
+
+    def no_sort(*args):
+        raise AssertionError("sorted input was sorted")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spanforge.graph, "sort_pairs", no_sort)
+        for sorted_input in (triples, looped):  # a self-loop leaves the other pairs ascending
+            assert_edges_equal(build_graph(n, sorted_input), reference_build_graph(n, sorted_input))
+    shuffled = rng.sample(triples, len(triples))
+    variants = [shuffled, shuffled[:at] + [(at % n, at % n, 3.0)] + shuffled[at:]]
+    if triples:
+        a, b, w = rng.choice(triples)
+        for weight in (w, w / 2, w + 1):
+            variants.append(triples[:at] + [(b, a, weight)] + triples[at:])  # a parallel edge
+    for raw in variants:
+        assert_edges_equal(build_graph(n, raw), reference_build_graph(n, raw))
+
 def test_graph_columns_are_read_only_int32_int32_float64():
     g = gen_gnp(30, 0.3, ("uniform", 1, 9), seed=2)
     assert (g.u.dtype, g.v.dtype, g.w.dtype) == (np.int32, np.int32, np.float64)
@@ -670,3 +714,85 @@ def test_header_range_check_reports_ids_beyond_int64():
     with pytest.raises(EdgeListError) as err:
         load_edge_list(io.StringIO(f"# 3 1\n0 {10**30} 1.0\n"))
     assert str(err.value) == "vertex id out of range [0,3) in edge (0,1000000000000000000000000000000)"
+
+
+# ----------------------------- the writer ----------------------------------
+
+# Ids and weights at the edges of their formats: digit counts, the largest
+# int32, signed zero, the least subnormal, exponent forms, the largest float.
+EDGE_IDS = [0, 9, 10, 99, 100, 2**31 - 1]
+EDGE_WEIGHTS = [0.0, -0.0, 5e-324, 1e-05, 0.1, 1e16, 1.7976931348623157e308]
+
+
+def line_text(g):
+    buf = io.StringIO()
+    line_write_edge_list(g, buf)
+    return buf.getvalue()
+
+
+def written_text(g):
+    buf = io.StringIO()
+    write_edge_list(g, buf)
+    return buf.getvalue()
+
+
+@st.composite
+def writable_graphs(draw):
+    """Graphs built without validate: nonnegative int32 ids on either end,
+    past n too, and weights that tie often."""
+    vertex = st.sampled_from(EDGE_IDS) | st.integers(0, 2**31 - 1)
+    weight = st.sampled_from([0.0, -0.0, 1.0]) | st.sampled_from(EDGE_WEIGHTS) | st.floats(0, allow_infinity=False)
+    edges = draw(st.lists(st.tuples(vertex, vertex, weight), max_size=40))
+    u, v, w = zip(*edges) if edges else ((), (), ())
+    return WeightedGraph(draw(st.integers(1, 200)), u, v, w)
+
+
+@settings(max_examples=300)
+@given(writable_graphs())
+@example(WeightedGraph(1, EDGE_IDS, EDGE_IDS[::-1], EDGE_WEIGHTS[:6]))
+@example(WeightedGraph(2, [5], [123456], [1.0]))  # ids past n
+def test_written_bytes_equal_the_line_writer(g):
+    assert written_text(g) == line_text(g)
+
+
+def writable_graph(m, seed):
+    """m edges with ids of 1 to 10 digits, half of them one of a few tied
+    weights and half distinct."""
+    rng = np.random.default_rng(seed)
+    ends = np.minimum(rng.integers(0, 10 ** rng.integers(1, 11, (2, m))), 2**31 - 1)
+    w = np.where(rng.random(m) < 0.5, rng.choice(EDGE_WEIGHTS, m), rng.random(m) * 10.0 ** rng.integers(-8, 9, m))
+    return WeightedGraph(int(ends.max(initial=0)) + 1, ends[0], ends[1], w)
+
+
+CHUNK = spanforge.graph._WRITE_CHUNK
+
+
+@pytest.mark.parametrize("m", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
+def test_written_bytes_equal_the_line_writer_across_chunks(m):
+    g = writable_graph(m, seed=m)
+    assert written_text(g) == line_text(g)
+
+
+@pytest.mark.parametrize("sink", ["path", "text file", "StringIO"])
+def test_every_sink_gets_the_line_writers_bytes(tmp_path, sink):
+    g = writable_graph(CHUNK + 1, seed=7)
+    path = tmp_path / "g.txt"
+    if sink == "path":
+        write_edge_list(g, path)
+    elif sink == "text file":
+        with open(path, "w", encoding="utf-8") as fh:
+            write_edge_list(g, fh)
+    else:
+        path.write_bytes(written_text(g).encode("ascii"))
+    assert path.read_bytes() == line_text(g).encode("ascii")
+
+
+@pytest.mark.parametrize("u, v, eid", [([-1, 0], [1, 2], 0), ([0, 1], [1, -(2**31)], 1)])
+def test_writer_rejects_a_negative_id_before_writing(tmp_path, u, v, eid):
+    # Only a graph built without validate can hold one; the format cannot.
+    g = WeightedGraph(3, u, v, [1.0, 2.0])
+    path, buf = tmp_path / "g.txt", io.StringIO()
+    for sink in (path, buf):
+        with pytest.raises(DomainError, match=rf"^edge {eid} has a negative vertex id \({u[eid]}, {v[eid]}\)$"):
+            write_edge_list(g, sink)
+    assert not path.exists() and buf.getvalue() == ""
