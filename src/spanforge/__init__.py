@@ -45,6 +45,7 @@ from .oracles import (
     RepetitionResult,
     SizeStats,
     StretchAudit,
+    apsp_blocks,
     apsp_matrix,
     audit_stretch,
     bellman_ford,

@@ -1,10 +1,11 @@
 """Approximate all-pairs shortest paths answered from a spanner alone.
 
 Build a near-linear-size spanner once, then compute every pairwise
-distance on the spanner subgraph.  The exact oracle is one bit-parallel
-BFS from all sources at once on unit weights and batched label-setting
-Dijkstra, a block of sources at a time, otherwise, which is adequate at
-the guarded instance sizes; comparing the two matrices measures the
+distance on the spanner subgraph.  Exact and spanner distances stream
+side by side as aligned blocks of source rows (oracles.apsp_blocks:
+bit-parallel BFS on unit weights, batched label-setting Dijkstra
+otherwise), and each block's pair ratios are kept as soon as it is
+made, so no n x n matrix is ever held; comparing the two measures the
 realized approximation factor.
 """
 
@@ -13,11 +14,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .graph import DomainError, WeightedGraph
-from .oracles import apsp_matrix
+# apsp_matrix stays importable from here, where perfbench/layers.py wraps it.
+from .oracles import apsp_blocks, apsp_matrix
 from .spanner import general_spanner, stretch_bound
 
 EXACT_APSP_GUARD = 2000
@@ -26,6 +29,14 @@ COORDINATOR_FACTOR = 8.0
 
 class ApspBoundError(RuntimeError):
     """The realized APSP ratio exceeded the schedule's stretch bound."""
+
+
+def check_apsp_guard(n: int) -> None:
+    """Refuse n > EXACT_APSP_GUARD vertices with a DomainError: the pair
+    ratios are an array of n(n - 1)/2 floats, and the two all-pairs
+    sweeps take time quadratic in n and more."""
+    if n > EXACT_APSP_GUARD:
+        raise DomainError(f"exact APSP oracle is guarded at n <= {EXACT_APSP_GUARD}; got n = {n}")
 
 
 def coordinator_budget(n: int) -> float:
@@ -42,7 +53,7 @@ class ApspReport:
     Wall-time fields are measured but kept out of the canonical dict so
     reports from identical seeds stay byte-identical.  query_seconds
     times the all-pairs sweep on the spanner alone, not the exact one
-    that checks it.
+    that checks it nor the ratios.
     """
 
     k: int
@@ -75,26 +86,30 @@ class ApspReport:
         return out
 
 
-# Bound on the cells of the row block that pair_ratios reads at a time.
-_RATIO_CELLS = 2**15
+Blocks = Iterable[tuple[int, np.ndarray]]
 
 
-def pair_ratios(exact: np.ndarray, approx: np.ndarray) -> tuple[float, float, int]:
+def pair_ratios(exact: Blocks, approx: Blocks) -> tuple[float, float, int]:
     """Max and mean of approx/exact over connected off-diagonal pairs.
 
-    The pairs are those of the upper triangle, in row-major order, read
-    a bounded block of rows at a time into one array of their ratios.
+    exact and approx are aligned streams of (lo, rows) blocks, rows[i]
+    holding the distances from vertex lo + i, as apsp_blocks yields
+    them.  Each block's upper-triangle pairs are written, in row-major
+    order, into one array of their ratios as soon as the block arrives.
     """
-    n = exact.shape[0]
-    step = max(1, _RATIO_CELLS // max(n, 1))
-    # Sized for every pair; the pages past the connected pairs are never
-    # written, so a disconnected graph does not pay for them in memory.
-    ratios = np.empty(n * (n - 1) // 2)
+    ratios = None
     pairs = 0
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        connected = (np.arange(n) > np.arange(lo, hi)[:, None]) & np.isfinite(exact[lo:hi])
-        e, a = exact[lo:hi][connected], approx[lo:hi][connected]
+    for (lo, e_rows), (a_lo, a_rows) in zip(exact, approx, strict=True):
+        if a_lo != lo or a_rows.shape != e_rows.shape:
+            raise ValueError(f"misaligned row blocks: {e_rows.shape} at {lo}, {a_rows.shape} at {a_lo}")
+        n = e_rows.shape[1]
+        if ratios is None:
+            # Sized for every pair; the pages past the connected pairs are
+            # never written, so a disconnected graph does not pay for them
+            # in memory.
+            ratios = np.empty(n * (n - 1) // 2)
+        connected = (np.arange(n) > np.arange(lo, lo + len(e_rows))[:, None]) & np.isfinite(e_rows)
+        e, a = e_rows[connected], a_rows[connected]
         zero = e == 0
         out = ratios[pairs : pairs + len(e)]
         np.divide(a, e, out=out, where=~zero)
@@ -106,27 +121,40 @@ def pair_ratios(exact: np.ndarray, approx: np.ndarray) -> tuple[float, float, in
     return float(ratios.max()), float(ratios.mean()), pairs
 
 
+def _timed(make: Callable[[], Blocks], spent: list[float]) -> Iterator[tuple[int, np.ndarray]]:
+    """make()'s blocks, adding the time spent in make() and in producing
+    each block to spent[0]; the consumer's time between blocks is not
+    counted."""
+    start = time.perf_counter()
+    blocks = iter(make())
+    while True:
+        block = next(blocks, None)
+        spent[0] += time.perf_counter() - start
+        if block is None:
+            return
+        yield block
+        start = time.perf_counter()
+
+
 def apsp_experiment(g: WeightedGraph, k: int, t: int, seed: int) -> ApspReport:
     """Build a spanner, answer all pairs from it, and report the realized
     approximation factor against exact distances.
 
-    Refuses graphs with more than 2000 vertices: the exact oracle is
-    quadratic in memory and this harness targets desk-scale instances.
-    Raises ApspBoundError when the max ratio exceeds the bound 2*k**s.
+    Refuses graphs with more than EXACT_APSP_GUARD = 2000 vertices (see
+    check_apsp_guard): the ratio array and the run time are quadratic in
+    n, and this harness targets desk-scale instances.  Distances are
+    never held as matrices: the exact and spanner row blocks are folded
+    into the ratios as they are made.  query_seconds is the time spent
+    producing the spanner's blocks.  Raises ApspBoundError when the max
+    ratio exceeds the bound 2*k**s.
     """
-    if g.n > EXACT_APSP_GUARD:
-        raise DomainError(
-            f"exact APSP oracle is guarded at n <= {EXACT_APSP_GUARD}; got n = {g.n}"
-        )
+    check_apsp_guard(g.n)
     t0 = time.perf_counter()
     build = general_spanner(g, k, t, seed)
     t1 = time.perf_counter()
-    exact = apsp_matrix(g)
-    t2 = time.perf_counter()
-    approx = apsp_matrix(g, build.spanner_edges)
-    t3 = time.perf_counter()
-
-    max_ratio, mean_ratio, pairs = pair_ratios(exact, approx)
+    query = [0.0]
+    answers = _timed(lambda: apsp_blocks(g, build.spanner_edges), query)
+    max_ratio, mean_ratio, pairs = pair_ratios(apsp_blocks(g), answers)
     bound = stretch_bound("general", k, t)
     if not max_ratio <= bound:  # NaN fails too
         raise ApspBoundError(f"APSP ratio {max_ratio} exceeds bound {bound}")
@@ -141,5 +169,5 @@ def apsp_experiment(g: WeightedGraph, k: int, t: int, seed: int) -> ApspReport:
         pairs=pairs,
         memory_budget=coordinator_budget(g.n),
         build_seconds=t1 - t0,
-        query_seconds=t3 - t2,
+        query_seconds=query[0],
     )

@@ -16,9 +16,9 @@ import json
 import math
 import sys
 
-from .apsp import ApspBoundError, apsp_experiment
+from .apsp import ApspBoundError, apsp_experiment, check_apsp_guard
 from .graph import (
-    DomainError, EdgeListError, WeightedGraph, load_edge_list, parse_generator_spec, write_edge_list
+    DomainError, EdgeListError, WeightedGraph, load_edge_list, parse_generator, write_edge_list
 )
 from .oracles import ALGORITHMS, audit_stretch, size_study
 from .spanner import CostModel, SpannerBuild, _check_gamma, cost_model, stretch_bound
@@ -55,9 +55,9 @@ def _check_general_only(args) -> None:
 
 
 def _generator(spec: str):
-    """parse_generator_spec, with a spec outside its domain as a usage error."""
+    """parse_generator, with a spec outside its domain as a usage error."""
     try:
-        return parse_generator_spec(spec)
+        return parse_generator(spec)
     except DomainError as exc:
         raise _UsageError(f"error: {exc}") from None
 
@@ -66,7 +66,7 @@ def cmd_build(args) -> int:
     _check_general_only(args)
     t = args.t if args.t is not None else 1
     if args.gen is not None:
-        source, make = _generator(args.gen)
+        source, make = args.gen, _generator(args.gen)[1]
     _check_gamma(args.gamma)
     bound = stretch_bound(args.algo, args.k, t) if args.audit == "auto" else args.audit
     if args.gen is None:
@@ -152,11 +152,12 @@ def cmd_cost(args) -> int:
 def cmd_study(args) -> int:
     _check_general_only(args)
     t = args.t if args.t is not None else 1
-    _, make = _generator(args.gen)
+    vertices, make = _generator(args.gen)
     if args.trials < 1:
         raise _UsageError("error: --trials must be >= 1")
 
     if args.apsp:
+        check_apsp_guard(vertices)  # before generating: a large spec draws for hours
         reports = []
         for trial in range(args.trials):
             g = make(args.seed0 + trial)

@@ -27,7 +27,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -637,7 +637,14 @@ def gen_grid(width: int, height: int) -> WeightedGraph:
 
 
 def parse_generator_spec(spec: str):
-    """Parse the CLI generator mini-grammar into (description, seed -> graph).
+    """(description, seed -> graph) for a generator spec: the spec itself
+    and parse_generator's graph maker."""
+    return spec, parse_generator(spec)[1]
+
+
+def parse_generator(spec: str) -> tuple[int, Callable[[int], WeightedGraph]]:
+    """Parse the CLI generator mini-grammar into (vertex count, seed ->
+    graph), so that a caller can refuse a size before generating.
 
     Supported forms:
         gnp:<n>:<p>:unit
@@ -679,4 +686,4 @@ def parse_generator_spec(spec: str):
         raise DomainError(
             f"generator spec {spec!r} asks for {vertices} vertices, over the limit {MAX_VERTICES}"
         )
-    return spec, make
+    return vertices, make

@@ -2,13 +2,14 @@
 
 Everything here is deliberately independent of the construction code:
 distances come from label-setting Dijkstra, run on a block of sources
-at once for the audit and for all-pairs matrices and one heap at a time
+at once for the audit and for all-pairs rows and one heap at a time
 for dijkstra(), and from one BFS from all sources at once, its levels
-kept as bit planes, for all-pairs matrices whose edges all weigh exactly
-1.0.  All three read the subgraph through one arc table, graph.arcs;
-Bellman-Ford, their cross-check, relaxes the edge columns themselves.
-Stretch is audited edge by edge on the spanner subgraph, and size claims
-are measured over repeated seeded runs rather than trusted.
+kept as bit planes, for all-pairs rows whose edges all weigh exactly
+1.0; all-pairs distances stream as blocks of source rows.  All three
+read the subgraph through one arc table, graph.arcs; Bellman-Ford,
+their cross-check, relaxes the edge columns themselves.  Stretch is
+audited edge by edge on the spanner subgraph, and size claims are
+measured over repeated seeded runs rather than trusted.
 """
 
 from __future__ import annotations
@@ -50,14 +51,15 @@ def _dijkstra_on(table: Arcs, source: int) -> list[float]:
 
 
 # Bound on the all-sources BFS's gather of the frontier over every arc,
-# in 64-bit words.
+# in 64-bit words; a pass runs at least one row block's words.
 _GATHER_WORDS = 2**20
 _WORD = np.dtype("<u8")  # little-endian, so the uint8 view is host-independent
 
 
-def _bfs_all_sources(table: Arcs) -> np.ndarray:
-    """Unit-weight distance matrix of the subgraph whose arcs are table,
-    by one BFS from every source at once.
+def _bfs_blocks(table: Arcs, height: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Unit-weight distance rows of the subgraph whose arcs are table, by
+    one BFS from every source at once, as (lo, rows) blocks of height
+    rows (a multiple of 64).
 
     Bit s % 64 of word s // 64 stands for source s, as in Then et al.,
     "The More the Merrier: Efficient Multi-Source Graph Traversal" (VLDB
@@ -65,17 +67,17 @@ def _bfs_all_sources(table: Arcs) -> np.ndarray:
     keeps the bits it has not seen; a word drops out once its sources
     reach nothing new.  Level L ORs those new bits into bit plane b for
     each set bit b of L, so a level costs a few word operations and the
-    planes hold every distance in binary.  Each block of words is then
-    unpacked once, plane by plane, into one integer level per (vertex,
-    source), and written to the sources' columns.
+    planes hold every distance in binary.  A pass runs a whole number of
+    row blocks' words; after it, each row block is unpacked from the
+    planes into floats on its own, so only one block is ever floats.
     Levels are heap Dijkstra's floats, since every sum of 1.0s below
     2**53 is exact; a vertex a source never reached gets inf.
     """
     n = len(table.first) - 1
     if not len(table.head):
-        out = np.full((n, n), INF)
-        np.fill_diagonal(out, 0.0)
-        return out
+        for lo in range(0, n, height):
+            yield lo, _unreached_rows(n, lo, min(n, lo + height) - lo)
+        return
     # One reduceat segment per vertex with an arc: a vertex with none has
     # no segment, since reduceat over an empty one returns an element.
     # Every head is also a tail, so vertices are indexed by their
@@ -83,16 +85,16 @@ def _bfs_all_sources(table: Arcs) -> np.ndarray:
     dest = np.flatnonzero(np.diff(table.first))
     starts = table.first[dest]
     head_pos = np.searchsorted(dest, table.head)
-    out = np.empty((n, n))
     words = -(-n // 64)
-    block = max(1, _GATHER_WORDS // len(head_pos))
-    for first in range(0, words, block):
-        count = min(words, first + block) - first
+    per_block = height // 64
+    step = per_block * max(1, _GATHER_WORDS // len(head_pos) // per_block)
+    for first in range(0, words, step):
+        count = min(words, first + step) - first
         own = np.arange(*np.searchsorted(dest, [64 * first, 64 * (first + count)]))
         visited = np.zeros((count, len(dest)), _WORD)
         visited[dest[own] // 64 - first, own] = np.uint64(1) << (dest[own] % 64).astype(_WORD)
         frontier = visited.copy()
-        # Rows of the block's words that are still going, their planes,
+        # Rows of the pass's words that are still going, their planes,
         # and the planes and visited bits of each word once it stops.
         rows = np.arange(count)
         planes: list[np.ndarray] = []
@@ -120,9 +122,19 @@ def _bfs_all_sources(table: Arcs) -> np.ndarray:
                 rows, visited, new = rows[going], visited[going], new[going]
                 planes = [plane[going] for plane in planes]
             frontier = new
-        lo, hi = 64 * first, min(n, 64 * (first + count))
-        _write_block(out[:, lo:hi], done_planes, done_visited, dest, lo)
-    return out
+        for w in range(0, count, per_block):
+            lo = 64 * (first + w)
+            block = slice(w, w + per_block)
+            yield lo, _block_rows(
+                [plane[block] for plane in done_planes], done_visited[block], dest, n, lo, min(n, lo + height) - lo
+            )
+
+
+def _unreached_rows(n: int, lo: int, sources: int) -> np.ndarray:
+    """Rows of sources lo, lo + 1, ... that reach no vertex but their own."""
+    rows = np.full((sources, n), INF)
+    rows[np.arange(sources), np.arange(lo, lo + sources)] = 0.0
+    return rows
 
 
 def _unpack_sources(words: np.ndarray, sources: int) -> np.ndarray:
@@ -134,16 +146,20 @@ def _unpack_sources(words: np.ndarray, sources: int) -> np.ndarray:
     return np.unpackbits(as_bytes, axis=1, count=sources, bitorder="little")
 
 
-def _write_block(cols: np.ndarray, planes: list[np.ndarray], visited: np.ndarray, dest: np.ndarray, lo: int) -> None:
-    """Fill cols, out's columns of sources lo, lo + 1, ..., from one
-    block's bit planes and visited bits over the vertices dest; distances
-    are symmetric, so column s holds s's distance to every vertex."""
-    n, sources = cols.shape
-    np.copyto(cols, _spread(_levels(planes, sources), dest, n, 0))
-    unreached = _unpack_sources(~visited, sources).view(bool)
-    np.copyto(cols, INF, where=_spread(unreached, dest, n, True))
-    if len(dest) < n:
-        cols[np.arange(lo, lo + sources), np.arange(sources)] = 0.0
+def _block_rows(
+    planes: list[np.ndarray], visited: np.ndarray, dest: np.ndarray, n: int, lo: int, sources: int
+) -> np.ndarray:
+    """Distance rows of sources lo, lo + 1, ... from one row block's bit
+    planes and visited bits over the vertices dest.  The planes unpack
+    to (vertex, source) levels; distances are symmetric, so their
+    transpose is the sources' rows."""
+    reached = _levels(planes, sources).T.astype(np.float64, order="C")
+    np.copyto(reached, INF, where=_unpack_sources(~visited, sources).view(bool).T)
+    if len(dest) == n:
+        return reached
+    rows = _unreached_rows(n, lo, sources)
+    rows[:, dest] = reached
+    return rows
 
 
 def _levels(planes: list[np.ndarray], sources: int) -> np.ndarray:
@@ -159,26 +175,27 @@ def _levels(planes: list[np.ndarray], sources: int) -> np.ndarray:
     return level
 
 
-def _spread(rows: np.ndarray, dest: np.ndarray, n: int, fill: int) -> np.ndarray:
-    """rows, one per vertex of dest, as n rows with fill for vertices that
-    have no edge: in rows' narrow type, not as an n-wide float temporary."""
-    if len(dest) == n:
-        return rows
-    wide = np.full((n, rows.shape[1]), fill, rows.dtype)
-    wide[dest] = rows
-    return wide
-
-
 # Bounds on the batched Dijkstra's temporaries: cells (sources x vertices)
 # of one block's distance matrix, and relaxations in one scatter.
 _BLOCK_CELLS = 2**15
 _SCATTER = 2**14
 
 
+def _min_weights(table: Arcs) -> np.ndarray:
+    """The lightest arc at each vertex; 0, not inf, at a vertex with
+    none, so that an unreached vertex (D = inf) never passes the
+    batched Dijkstra's settling test while m is finite."""
+    minw = np.full(len(table.first) - 1, INF)
+    np.minimum.at(minw, table.head, table.w)
+    minw[np.diff(table.first) == 0] = 0.0
+    return minw
+
+
 def _batched_dijkstra(
     table: Arcs,
     sources: Sequence[int],
     targets: Sequence[np.ndarray] | None = None,
+    minw: np.ndarray | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Exact distances on the subgraph whose arcs are table from each of
     sources, by label-setting rounds over a block of sources at once.
@@ -197,14 +214,11 @@ def _batched_dijkstra(
     value, and each vertex gets min over its neighbours x of fl(d_x + w):
     heap Dijkstra's floats, zero weights included.  A row stops once its
     targets are settled or m is inf; the block runs until all have.
+    minw is _min_weights(table), computed here when not given.
     """
     n = len(table.first) - 1
-    minw = np.full(n, INF)
-    np.minimum.at(minw, table.head, table.w)
-    # A vertex with no edge gets minw 0, not inf, so that an unreached
-    # vertex (D = inf) never passes the test while m is finite.
-    minw[np.diff(table.first) == 0] = 0.0
-
+    if minw is None:
+        minw = _min_weights(table)
     src = np.asarray(sources, dtype=np.intp)
     rows = max(1, _BLOCK_CELLS // n)
     for lo in range(0, len(src), rows):
@@ -253,22 +267,51 @@ def _relax(dist: np.ndarray, frontier: np.ndarray, table: Arcs) -> None:
         np.minimum.at(flat, at, np.repeat(flat[cells[a:b]], deg[a:b]) + table.w[arc])
 
 
-def apsp_matrix(g: WeightedGraph, edge_ids: Iterable[int] | None = None) -> np.ndarray:
-    """All-pairs distance matrix of the subgraph on edge_ids (all edges
-    when None); +inf when unreachable.
+# Bound on the cells of the row blocks that apsp_blocks yields.  A block
+# is a whole number of 64-source words, so past n = _ROW_CELLS / 64 it is
+# one word of 64 rows.
+_ROW_CELLS = 2**16
 
-    When every edge weighs exactly 1.0, one BFS runs from all sources at
-    once, 64 sources to a machine word; otherwise batched label-setting
-    Dijkstra runs a bounded block of sources at once.  Both give the same
-    floats as heap Dijkstra would.  Other equal weights keep Dijkstra:
-    its running sums (0.1 + 0.1 + ...) are not level * w.
+
+def apsp_blocks(g: WeightedGraph, edge_ids: Iterable[int] | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """All-pairs distances of the subgraph on edge_ids (all edges when
+    None) as consecutive blocks of source rows; +inf when unreachable.
+
+    Yields (lo, rows), rows[i] holding the distances from vertex lo + i.
+    The block height, 64 * max(1, _ROW_CELLS // (64 * n)), depends on n
+    alone, so two streams over one graph's vertices align whichever
+    kernel each takes.  When every edge weighs exactly 1.0, one BFS runs
+    from all sources at once, 64 sources to a machine word; otherwise
+    batched label-setting Dijkstra runs each block's sources.  Both give
+    the same floats as heap Dijkstra would.  Other equal weights keep
+    Dijkstra: its running sums (0.1 + 0.1 + ...) are not level * w.
+    The edge ids are checked, and the arc table built, before the call
+    returns.
     """
     table = arcs(g, edge_ids)
+    height = 64 * max(1, _ROW_CELLS // (64 * g.n))
     if np.all(table.w == 1.0):
-        return _bfs_all_sources(table)
-    out = np.empty((g.n, g.n), dtype=np.float64)
-    for done, rows in _batched_dijkstra(table, range(g.n)):
-        out[done] = rows
+        return _bfs_blocks(table, height)
+    return _dijkstra_blocks(table, height)
+
+
+def _dijkstra_blocks(table: Arcs, height: int) -> Iterator[tuple[int, np.ndarray]]:
+    """apsp_blocks' rows by batched Dijkstra, one row block at a time."""
+    n = len(table.first) - 1
+    minw = _min_weights(table)
+    for lo in range(0, n, height):
+        rows = np.empty((min(n, lo + height) - lo, n))
+        for i, part in _batched_dijkstra(table, range(lo, lo + len(rows)), minw=minw):
+            rows[i] = part
+        yield lo, rows
+
+
+def apsp_matrix(g: WeightedGraph, edge_ids: Iterable[int] | None = None) -> np.ndarray:
+    """All-pairs distance matrix of the subgraph on edge_ids (all edges
+    when None): apsp_blocks' rows in one n x n array."""
+    out = np.empty((g.n, g.n))
+    for lo, rows in apsp_blocks(g, edge_ids):
+        out[lo : lo + len(rows)] = rows
     return out
 
 

@@ -11,6 +11,7 @@ import pytest
 import spanforge
 from spanforge import (
     DomainError,
+    apsp_blocks,
     apsp_experiment,
     apsp_matrix,
     audit_stretch,
@@ -100,14 +101,44 @@ def ratio_matrices(n, seed):
     return exact, approx
 
 
-@pytest.mark.parametrize("cells", [1, 7, 2**15])
-@pytest.mark.parametrize("n", [1, 2, 3, 50, 130])
-def test_pair_ratios_equal_whole_triangle_ratios(n, cells, monkeypatch):
-    # Row blocks of one row up to the whole matrix fill the same array.
-    monkeypatch.setattr(spanforge.apsp, "_RATIO_CELLS", cells)
-    exact, approx = ratio_matrices(n, n)
+def row_blocks(matrix, height):
+    """matrix as (lo, rows) blocks of height rows, views of matrix."""
+    return ((lo, matrix[lo : lo + height]) for lo in range(0, matrix.shape[0], height))
+
+
+def expected_ratios(exact, approx):
     ratios = triangle_ratios(exact, approx)
-    expected = (float(ratios.max()), float(ratios.mean()), ratios.size) if ratios.size else (1.0, 1.0, 0)
+    return (float(ratios.max()), float(ratios.mean()), ratios.size) if ratios.size else (1.0, 1.0, 0)
+
+
+@pytest.mark.parametrize("height", [1, 7, 2**15])
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 130])
+def test_pair_ratios_equal_whole_triangle_ratios(n, height):
+    # Row blocks of one row up to the whole matrix fill the same array.
+    exact, approx = ratio_matrices(n, n)
+    assert pair_ratios(row_blocks(exact, height), row_blocks(approx, height)) == expected_ratios(exact, approx)
+
+
+def test_pair_ratios_refuse_misaligned_blocks():
+    exact, approx = ratio_matrices(20, 2)
+    with pytest.raises(ValueError, match="misaligned"):
+        pair_ratios(row_blocks(exact, 7), row_blocks(approx, 5))
+    with pytest.raises(ValueError):
+        pair_ratios(row_blocks(exact, 7), row_blocks(approx[:14], 7))
+
+
+def test_weighted_graph_with_a_unit_spanner_streams_aligned_blocks():
+    # The exact stream takes the batched Dijkstra and the spanner stream,
+    # all of whose edges weigh 1.0, the BFS: their blocks still align.
+    n = 300
+    chords = [(i, i + 2 + i % 5, (0.5, 2.0, 3.5)[i % 3]) for i in range(0, n - 6, 2)]
+    g = build_graph(n, [(i, i + 1, 1.0) for i in range(n - 1)] + chords)
+    path = np.flatnonzero(g.w == 1.0)
+    assert len(path) == n - 1
+    exact, approx = list(apsp_blocks(g)), list(apsp_blocks(g, path))
+    assert [(lo, rows.shape) for lo, rows in exact] == [(lo, rows.shape) for lo, rows in approx]
+    assert len(exact) > 1
+    expected = expected_ratios(apsp_matrix(g), apsp_matrix(g, path))
     assert pair_ratios(exact, approx) == expected
 
 
@@ -117,7 +148,7 @@ def test_pair_ratios_memory_is_one_ratio_array_and_a_row_block():
     exact[np.isinf(exact)] = 1.0
     tracemalloc.start()
     try:
-        _, _, pairs = pair_ratios(exact, approx)
+        _, _, pairs = pair_ratios(row_blocks(exact, 64), row_blocks(approx, 64))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -135,23 +166,61 @@ def test_report_dict_timing_opt_in():
 
 def test_query_seconds_time_the_spanner_sweep_only(monkeypatch):
     # The exact sweep checks the answers; answering is the spanner sweep.
+    # Blocks of 64 rows, so that the two streams interleave 4 times.
+    # Clock reading j (from 1) is 2**j, so each interval is one bit of a
+    # total, and the total names the intervals that were counted.
+    monkeypatch.setattr(spanforge.oracles, "_ROW_CELLS", 1)
     events = []
-    clock = iter([0.0, 1.0, 3.0, 7.0])
-    real = spanforge.apsp.apsp_matrix
+    real = spanforge.apsp.apsp_blocks
 
-    def matrix(g, edge_ids=None):
-        events.append("exact" if edge_ids is None else "spanner")
-        return real(g, edge_ids)
+    def blocks(g, edge_ids=None):
+        name = "exact" if edge_ids is None else "spanner"
+        events.append(name)  # the call builds the arc table
+
+        def stream():
+            for block in real(g, edge_ids):
+                events.append(name)
+                yield block
+            events.append(name)
+
+        return stream()
+
+    def spanner(*args):
+        events.append("build")
+        return general_spanner(*args)
 
     def perf_counter():
         events.append("clock")
-        return next(clock)
+        return float(2 ** events.count("clock"))
 
-    monkeypatch.setattr(spanforge.apsp, "apsp_matrix", matrix)
+    monkeypatch.setattr(spanforge.apsp, "apsp_blocks", blocks)
+    monkeypatch.setattr(spanforge.apsp, "general_spanner", spanner)
     monkeypatch.setattr(spanforge.apsp.time, "perf_counter", perf_counter)
-    rep = apsp_experiment(gen_gnp(30, 0.3, "unit", 4), 3, 1, 1)
-    assert events == ["clock", "clock", "exact", "clock", "spanner", "clock"]
-    assert (rep.build_seconds, rep.query_seconds) == (1.0, 4.0)
+    rep = apsp_experiment(gen_gnp(200, 0.05, "unit", 4), 3, 1, 1)
+
+    clocks = [i for i, event in enumerate(events) if event == "clock"]
+    inside = [set(events[a + 1 : b]) for a, b in zip(clocks, clocks[1:])]
+    assert {"exact", "spanner"} <= set().union(*inside)
+    assert all(len(names) <= 1 for names in inside)
+    # Interval i, from reading i + 1 to reading i + 2, lasts 2**(i + 1).
+    assert rep.build_seconds == sum(2.0 ** (i + 1) for i, names in enumerate(inside) if names == {"build"})
+    assert rep.query_seconds == sum(2.0 ** (i + 1) for i, names in enumerate(inside) if names == {"spanner"})
+    assert events.count("spanner") == 1 + 4 + 1  # the call, 4 blocks and the end
+
+
+def test_apsp_experiment_holds_no_distance_matrix():
+    # Two n x n matrices and the ratio array peaked at 20.1 MiB; the bound
+    # is one matrix and the ratio array.
+    n = 1000
+    g = gen_gnp(n, 0.01, "unit", 1)
+    tracemalloc.start()
+    try:
+        rep = apsp_experiment(g, 9, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.pairs == n * (n - 1) // 2
+    assert peak < 8 * n * n + 4 * n * (n - 1)
 
 
 def test_memory_budget_reported_not_enforced():

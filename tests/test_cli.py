@@ -341,6 +341,16 @@ def test_study_bad_generator_exits_2(command, spec, monkeypatch):
     assert run_cli(command + ["--gen", spec]) == 2
 
 
+def test_study_apsp_refuses_an_oversized_spec_before_generating(monkeypatch, capsys):
+    # The guard ran after generation: gnp:12000 drew for 2 s before it exited 1.
+    def draw(*args):
+        raise RuntimeError("the graph was generated")
+
+    monkeypatch.setattr(spanforge.graph, "gen_gnp", draw)
+    assert run_cli(["study", "--apsp", "--gen", "gnp:12000:0.0001:unit", "--k", "3", "--trials", "1"]) == 1
+    assert capsys.readouterr().err == "error: exact APSP oracle is guarded at n <= 2000; got n = 12000\n"
+
+
 def test_study_t_and_apsp_are_general_only():
     assert run_cli(["study", "--gen", "gnp:60:0.2:unit", "--algo", "bs", "--k", "3",
                     "--t", "3", "--trials", "1"]) == 2

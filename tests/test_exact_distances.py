@@ -1,6 +1,7 @@
 """The exact oracles' paths: batched label-setting Dijkstra on a block
-of sources at a time for the audit and for weighted apsp_matrix, and
-one BFS from all sources at once for apsp_matrix on unit weights.
+of sources at a time for the audit and for weighted all-pairs rows, and
+one BFS from all sources at once for all-pairs rows on unit weights;
+apsp_matrix stacks apsp_blocks' row blocks.
 
 All must give heap Dijkstra's floats.  The heap dijkstra() reads the
 same arc table as the batched paths, which test_graph checks against the
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from spanforge import (
     DomainError,
+    apsp_blocks,
     apsp_matrix,
     audit_stretch,
     bellman_ford,
@@ -145,6 +147,44 @@ def test_all_sources_bfs_allocates_less_than_twice_its_output():
         tracemalloc.stop()
     assert np.isinf(out[500]).sum() == g.n - 1
     assert peak < 2 * out.nbytes
+
+
+def stacked_blocks(g, eids):
+    """apsp_blocks' rows in one matrix, after checking that the blocks
+    are consecutive and of the height that n alone fixes."""
+    height = 64 * max(1, oracles._ROW_CELLS // (64 * g.n))
+    blocks = list(apsp_blocks(g, eids))
+    assert [(lo, rows.shape) for lo, rows in blocks] == [
+        (lo, (min(height, g.n - lo), g.n)) for lo in range(0, g.n, height)
+    ]
+    return np.concatenate([rows for _, rows in blocks])
+
+
+# n = 1, 63, 64, 65, 129 and 300 on unit weights, isolated vertices on
+# both kernels, and weighted inputs.
+BLOCK_GRAPHS = {
+    **{name: UNIT_GRAPHS[name] for name in ("n1", "gnp63", "gnp64", "gnp65", "gnp129", "path300", "isolated-words")},
+    "unit-isolated": UNIT_GRAPHS["isolated"],
+    "weighted": lambda: gen_gnp(130, 0.05, ("uniform", 1, 10), 5),
+    "weighted-isolated": lambda: build_graph(70, [(i, i + 1, 0.5 + i % 3) for i in range(10, 40)]),
+    "weighted-n1": lambda: build_graph(1, []),
+}
+
+
+@pytest.mark.parametrize("patched", ["none", "_ROW_CELLS", "_GATHER_WORDS", "_BLOCK_CELLS", "_ROW_CELLS,_GATHER_WORDS"])
+@pytest.mark.parametrize("subgraph", ["graph", "empty"])
+@pytest.mark.parametrize("name", sorted(BLOCK_GRAPHS))
+def test_row_blocks_equal_the_matrix_and_heap_dijkstra(name, subgraph, patched, monkeypatch):
+    # Patched to 1: blocks of one word, passes of one block, and one
+    # Dijkstra source at a time, so each loop runs many times.
+    for constant in patched.split(","):
+        if constant != "none":
+            monkeypatch.setattr(oracles, constant, 1)
+    g = BLOCK_GRAPHS[name]()
+    eids = SUBGRAPHS[subgraph](g)
+    expected = heap_rows(g, eids).tobytes()
+    assert stacked_blocks(g, eids).tobytes() == expected
+    assert apsp_matrix(g, eids).tobytes() == expected
 
 
 def test_bfs_rows_equal_bellman_ford_on_random_unit_graphs():
