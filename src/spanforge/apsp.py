@@ -4,9 +4,11 @@ Build a near-linear-size spanner once, then compute every pairwise
 distance on the spanner subgraph.  Exact and spanner distances stream
 side by side as aligned blocks of source rows (oracles.apsp_blocks:
 bit-parallel BFS on unit weights, batched label-setting Dijkstra
-otherwise), and each block's pair ratios are kept as soon as it is
-made, so no n x n matrix is ever held; comparing the two measures the
-realized approximation factor.
+otherwise), and each block pair's ratios are folded into a running
+maximum, a sum and a pair count and then freed, so neither an n x n
+matrix nor an array of the n(n - 1)/2 pair ratios is ever held;
+comparing the two measures the realized approximation factor.  The
+mean ratio is math.fsum of the per-block sums over the pair count.
 """
 
 from __future__ import annotations
@@ -32,9 +34,11 @@ class ApspBoundError(RuntimeError):
 
 
 def check_apsp_guard(n: int) -> None:
-    """Refuse n > EXACT_APSP_GUARD vertices with a DomainError: the pair
-    ratios are an array of n(n - 1)/2 floats, and the two all-pairs
-    sweeps take time quadratic in n and more."""
+    """Refuse n > EXACT_APSP_GUARD vertices with a DomainError.  The
+    guard bounds time: the two all-pairs sweeps take time quadratic in n
+    and more (on unit weights, times the diameter).  Memory is one row
+    block per stream plus the BFS pass, whose gather and bit planes
+    oracles._GATHER_WORDS bounds, so it does not grow with n squared."""
     if n > EXACT_APSP_GUARD:
         raise DomainError(f"exact APSP oracle is guarded at n <= {EXACT_APSP_GUARD}; got n = {n}")
 
@@ -94,31 +98,62 @@ def pair_ratios(exact: Blocks, approx: Blocks) -> tuple[float, float, int]:
 
     exact and approx are aligned streams of (lo, rows) blocks, rows[i]
     holding the distances from vertex lo + i, as apsp_blocks yields
-    them.  Each block's upper-triangle pairs are written, in row-major
-    order, into one array of their ratios as soon as the block arrives.
+    them: the first block starts at row 0, each starts where the one
+    before it ended, and the last ends at the row length n.  Anything
+    else raises ValueError.  Each block pair's upper-triangle pairs are
+    folded into a maximum, a sum (np.sum) and a count, and the pair is
+    freed before the next one is pulled from the streams, so no
+    n(n - 1)/2 array exists.  The mean is math.fsum of the block sums
+    over the count: for a one-block stream it is bit for bit numpy's
+    mean of the whole triangle's ratios, and with more blocks it may
+    differ from that in the last bits.  With no connected pair, the
+    ratios are (1.0, 1.0, 0).
     """
-    ratios = None
-    pairs = 0
-    for (lo, e_rows), (a_lo, a_rows) in zip(exact, approx, strict=True):
-        if a_lo != lo or a_rows.shape != e_rows.shape:
-            raise ValueError(f"misaligned row blocks: {e_rows.shape} at {lo}, {a_rows.shape} at {a_lo}")
-        n = e_rows.shape[1]
-        if ratios is None:
-            # Sized for every pair; the pages past the connected pairs are
-            # never written, so a disconnected graph does not pay for them
-            # in memory.
-            ratios = np.empty(n * (n - 1) // 2)
-        connected = (np.arange(n) > np.arange(lo, lo + len(e_rows))[:, None]) & np.isfinite(e_rows)
-        e, a = e_rows[connected], a_rows[connected]
-        zero = e == 0
-        out = ratios[pairs : pairs + len(e)]
-        np.divide(a, e, out=out, where=~zero)
-        out[zero] = np.where(a[zero] == 0, 1.0, math.inf)
-        pairs += len(e)
+    exact, approx = iter(exact), iter(approx)
+    maxima: list[float] = []
+    sums: list[float] = []
+    pairs = end = 0
+    n = None
+    # Each pair is pulled into _fold's frame alone, so its arrays are
+    # freed when the call returns.
+    while (folded := _fold(next(exact, None), next(approx, None), end, n)) is not None:
+        n, end, count, top, total = folded
+        if count:
+            pairs += count
+            maxima.append(top)
+            sums.append(total)
+    if n is not None and end != n:
+        raise ValueError(f"misaligned row blocks: the streams end at row {end} of {n}")
     if pairs == 0:
         return 1.0, 1.0, 0
-    ratios = ratios[:pairs]
-    return float(ratios.max()), float(ratios.mean()), pairs
+    return float(np.max(maxima)), math.fsum(sums) / pairs, pairs
+
+
+def _fold(
+    e_block: tuple[int, np.ndarray] | None, a_block: tuple[int, np.ndarray] | None, end: int, n: int | None
+) -> tuple[int, int, int, float, float] | None:
+    """(n, the block's end row, pair count, max ratio, ratio sum) of one
+    block pair that must start at row end and, unless n is None, have n
+    columns; None when both streams have ended."""
+    if e_block is None and a_block is None:
+        return None
+    if e_block is None or a_block is None:
+        raise ValueError(f"misaligned row blocks: one stream ends at row {end}, the other goes on")
+    (lo, e_rows), (a_lo, a_rows) = e_block, a_block
+    n = e_rows.shape[1] if n is None else n
+    stop = lo + len(e_rows)
+    if lo != end or a_lo != end or a_rows.shape != e_rows.shape or e_rows.shape[1] != n or stop > n:
+        raise ValueError(f"misaligned row blocks: {e_rows.shape} at {lo}, {a_rows.shape} at {a_lo}, after row {end}")
+    # Columns from lo + 1 on: row i's pairs are its columns i and up.
+    e_rows, a_rows = e_rows[:, lo + 1 :], a_rows[:, lo + 1 :]
+    connected = (np.arange(e_rows.shape[1]) >= np.arange(len(e_rows))[:, None]) & np.isfinite(e_rows)
+    e, a = e_rows[connected], a_rows[connected]
+    if not len(e):
+        return n, stop, 0, 1.0, 0.0
+    zero = e == 0
+    ratios = np.divide(a, e, out=np.empty_like(e), where=~zero)
+    ratios[zero] = np.where(a[zero] == 0, 1.0, math.inf)
+    return n, stop, len(ratios), float(ratios.max()), float(np.sum(ratios))
 
 
 def _timed(make: Callable[[], Blocks], spent: list[float]) -> Iterator[tuple[int, np.ndarray]]:
@@ -141,10 +176,10 @@ def apsp_experiment(g: WeightedGraph, k: int, t: int, seed: int) -> ApspReport:
     approximation factor against exact distances.
 
     Refuses graphs with more than EXACT_APSP_GUARD = 2000 vertices (see
-    check_apsp_guard): the ratio array and the run time are quadratic in
-    n, and this harness targets desk-scale instances.  Distances are
-    never held as matrices: the exact and spanner row blocks are folded
-    into the ratios as they are made.  query_seconds is the time spent
+    check_apsp_guard): the run time is quadratic in n and more, and this
+    harness targets desk-scale instances.  Neither distances nor ratios
+    are held for all pairs: each exact and spanner row block pair is
+    folded by pair_ratios as it is made.  query_seconds is the time spent
     producing the spanner's blocks.  Raises ApspBoundError when the max
     ratio exceeds the bound 2*k**s.
     """

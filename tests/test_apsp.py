@@ -127,6 +127,80 @@ def test_pair_ratios_refuse_misaligned_blocks():
         pair_ratios(row_blocks(exact, 7), row_blocks(approx[:14], 7))
 
 
+def smooth_ratio_matrices(n, seed):
+    """Random exact/approx pairs whose ratios are finite and spread over
+    [1, 3), so that no sum of them is exact in floats."""
+    rng = np.random.default_rng(seed)
+    exact = rng.uniform(0.5, 9.0, (n, n))
+    exact[rng.random((n, n)) < 0.2] = math.inf
+    approx = exact * rng.uniform(1.0, 3.0, (n, n))
+    zero = rng.random((n, n)) < 0.05
+    exact[zero] = approx[zero] = 0.0
+    return exact, approx
+
+
+@pytest.mark.parametrize("height", [1, 7, 64, 2**15])
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 130, 300, 1000])
+def test_pair_ratios_max_and_pairs_equal_whole_triangle(n, height):
+    for exact, approx in (ratio_matrices(n, n), smooth_ratio_matrices(n, n)):
+        top, _, pairs = pair_ratios(row_blocks(exact, height), row_blocks(approx, height))
+        expected_top, _, expected_pairs = expected_ratios(exact, approx)
+        assert (top, pairs) == (expected_top, expected_pairs)
+
+
+@pytest.mark.parametrize("n", [2, 3, 50, 300, 1000])
+def test_pair_ratios_mean_of_one_block_is_numpy_mean_of_the_triangle(n):
+    exact, approx = smooth_ratio_matrices(n, n)
+    expected = float(triangle_ratios(exact, approx).mean())
+    for height in (n, 2**15):
+        assert pair_ratios(row_blocks(exact, height), row_blocks(approx, height))[1] == expected
+
+
+def test_one_block_graph_streams_give_numpy_mean_of_the_triangle():
+    # 256 vertices are one row block, the largest n that is.
+    g = gen_gnp(256, 0.03, ("uniform", 1, 9), 5)
+    spanner = general_spanner(g, 5, 1, 5).spanner_edges
+    assert len(list(apsp_blocks(g))) == 1
+    ratios = triangle_ratios(apsp_matrix(g), apsp_matrix(g, spanner))
+    assert pair_ratios(apsp_blocks(g), apsp_blocks(g, spanner))[1] == float(ratios.mean())
+
+
+@pytest.mark.parametrize("height", [1, 7, 64, 2**15])
+@pytest.mark.parametrize("n", [300, 1000])
+def test_pair_ratios_mean_of_many_blocks_is_within_rounding_of_the_exact_mean(n, height):
+    # Each block's np.sum of nonnegative ratios is off by at most about
+    # (16 + log2(count)) rounding units of its sum; fsum and the division
+    # add one each.  64 * eps is a margin above that, far below one
+    # ratio in the sum, so a lost or repeated block still fails.
+    exact, approx = smooth_ratio_matrices(n, n)
+    ratios = triangle_ratios(exact, approx)
+    reference = math.fsum(ratios) / len(ratios)
+    _, mean, pairs = pair_ratios(row_blocks(exact, height), row_blocks(approx, height))
+    assert pairs == len(ratios)
+    assert abs(mean - reference) <= 64 * np.finfo(float).eps * reference
+
+
+def test_pair_ratios_max_keeps_a_nan_from_any_block():
+    # apsp_experiment's bound check fails on NaN; a fold must not drop it.
+    exact, approx = smooth_ratio_matrices(30, 4)
+    exact[20, 25], approx[20, 25] = 2.0, math.nan
+    assert math.isnan(pair_ratios(row_blocks(exact, 7), row_blocks(approx, 7))[0])
+
+
+@pytest.mark.parametrize(
+    "picked",
+    [[0, 2], [0], [0, 0, 1, 2], [1, 2]],
+    ids=["middle block skipped", "stopped after the first block", "a block repeated", "first block not at row 0"],
+)
+def test_pair_ratios_refuse_broken_streams(picked):
+    # 20 rows in blocks of 7, at rows 0, 7 and 14; both streams pick the
+    # same blocks, so each pair agrees with itself.
+    exact, approx = ratio_matrices(20, 3)
+    e, a = list(row_blocks(exact, 7)), list(row_blocks(approx, 7))
+    with pytest.raises(ValueError, match="misaligned row blocks"):
+        pair_ratios([e[i] for i in picked], [a[i] for i in picked])
+
+
 def test_weighted_graph_with_a_unit_spanner_streams_aligned_blocks():
     # The exact stream takes the batched Dijkstra and the spanner stream,
     # all of whose edges weigh 1.0, the BFS: their blocks still align.
@@ -154,6 +228,37 @@ def test_pair_ratios_memory_is_one_ratio_array_and_a_row_block():
         tracemalloc.stop()
     assert pairs == 800 * 799 // 2
     assert peak < 8 * pairs + 2 * 2**20
+
+
+def test_pair_ratios_memory_is_a_few_row_blocks():
+    # The ratios are folded per block pair, which is freed before the next
+    # pair arrives: no array of n(n - 1)/2 ratios (2.4 MiB here).
+    n, height = 800, 64
+    exact, approx = ratio_matrices(n, 1)
+    exact[np.isinf(exact)] = 1.0
+    tracemalloc.start()
+    try:
+        _, _, pairs = pair_ratios(row_blocks(exact, height), row_blocks(approx, height))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pairs == n * (n - 1) // 2
+    assert peak < 4 * 8 * height * n + 2**20
+
+
+def test_apsp_experiment_holds_no_ratio_array():
+    # Holding the n(n - 1)/2 ratios peaked at 27.0 MiB; the bound is that
+    # array's own size, 15.25 MiB.
+    n = 2000
+    g = gen_gnp(n, 0.005, "unit", 1)
+    tracemalloc.start()
+    try:
+        rep = apsp_experiment(g, 9, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.pairs == n * (n - 1) // 2
+    assert peak < 8 * rep.pairs
 
 
 def test_report_dict_timing_opt_in():
